@@ -31,8 +31,8 @@ pub struct DispatchReport {
     /// Backend every [`ExecPlan`](crate::ExecPlan) compiled via
     /// [`PackedBnn::plan`](crate::PackedBnn::plan) dispatches to.
     pub active: KernelBackend,
-    /// All backends this CPU supports (scalar and SWAR are always
-    /// present; SIMD entries appear per `is_x86_feature_detected!`).
+    /// All backends this CPU supports (scalar is always present; SIMD
+    /// entries appear per `is_x86_feature_detected!`).
     pub available: Vec<KernelBackend>,
     /// 64-bit words the active backend's inner loop consumes per
     /// iteration.
@@ -41,7 +41,7 @@ pub struct DispatchReport {
 
 impl DispatchReport {
     /// One-line human-readable form, e.g.
-    /// `kernel backend: avx2 (4x u64/iter; available: scalar, swar, ssse3, avx2)`.
+    /// `kernel backend: avx2 (4x u64/iter; available: scalar, avx2)`.
     pub fn summary(&self) -> String {
         let avail: Vec<&str> = self.available.iter().map(|b| b.name()).collect();
         format!(

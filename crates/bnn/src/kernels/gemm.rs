@@ -1,13 +1,14 @@
 //! The `PopcountGemm` backend trait: bit-sliced XNOR-GEMM blocks.
 //!
-//! The batched execution tier (see `packed::xnor_conv_gemm_levels`)
-//! reshapes the binary convolution interior as a matrix product over
-//! GF(2)-packed words: the **A** matrix holds each filter's
-//! receptive-field bits densely repacked to `kwords` `u64`s per filter
-//! (one row per filter × residual level), and the **B** matrix holds
-//! `np` output pixels' densely repacked input windows, laid out
-//! column-major by reduction word (`b[j*np + p]`) so one SIMD load
-//! covers consecutive pixels.  A GEMM "block" computes
+//! Every packed convolution interior, at every batch size, runs as a
+//! matrix product over GF(2)-packed words (see
+//! `packed::xnor_conv_gemm_levels`): the **A** matrix holds each
+//! filter's receptive-field bits densely repacked to `kwords` `u64`s
+//! per filter (one row per filter × residual level), and the **B**
+//! matrix holds `np` output pixels' densely repacked input windows —
+//! pixels of one clip or of several — laid out column-major by
+//! reduction word (`b[j*np + p]`) so one SIMD load covers consecutive
+//! pixels.  A GEMM "block" computes
 //!
 //! ```text
 //! acc[f*np + p] += Σ_{j < kwords} popcount(a[f*kwords + j] ^ b[j*np + p])
@@ -17,20 +18,19 @@
 //! caller's epilogue turns into `±1` dot products and fuses with the
 //! per-channel affine/sign finalize.
 //!
-//! The trait has a correct default implementation in terms of the
-//! span kernels ([`accum_xor_popcount_x4`] / [`accum_xor_popcount`]),
-//! which the scalar, SWAR and SSSE3 backends use as-is.  AVX2, AVX-512
-//! and NEON override [`PopcountGemm::gemm_block`] with register-blocked
-//! microkernels that hold all `2·fb` vector accumulators in registers
-//! across the whole `kwords` reduction instead of re-loading the
-//! accumulator row once per reduction word.
+//! The trait's default [`PopcountGemm::gemm_block`] is the plain
+//! scalar triple loop, which the scalar backend uses as-is.  AVX2,
+//! AVX-512 and NEON override it with register-blocked microkernels
+//! that hold all `2·fb` vector accumulators in registers across the
+//! whole `kwords` reduction.
 //!
 //! Backend selection piggybacks on [`KernelBackend`]: [`gemm_backend`]
-//! maps the dispatched span backend to its GEMM counterpart, so
-//! `HOTSPOT_KERNEL_BACKEND` forces both tiers together and the
-//! bit-identity property tests cover the GEMM path for every backend.
+//! maps the dispatched backend to its GEMM counterpart, so
+//! `HOTSPOT_KERNEL_BACKEND` forces the GEMM microkernel together with
+//! the other kernels and the bit-identity property tests cover the
+//! GEMM path for every backend.
 
-use super::{accum_xor_popcount, accum_xor_popcount_x4, KernelBackend};
+use super::KernelBackend;
 
 /// A popcount-GEMM implementation (one per [`KernelBackend`]).
 ///
@@ -38,7 +38,7 @@ use super::{accum_xor_popcount, accum_xor_popcount_x4, KernelBackend};
 /// tests in this module compare every available backend against a
 /// plain triple loop.
 pub trait PopcountGemm: Sync + Send {
-    /// The span-kernel backend this GEMM tier belongs to (reporting).
+    /// The kernel backend this GEMM implementation belongs to.
     fn backend(&self) -> KernelBackend;
 
     /// `acc[f*np + p] += Σ_{j < kwords} popcount(a[f*kwords + j] ^
@@ -64,56 +64,24 @@ pub trait PopcountGemm: Sync + Send {
         debug_assert!(acc.len() >= fb * np);
         debug_assert!(a.len() >= fb * kwords);
         debug_assert!(b.len() >= kwords * np);
-        let backend = self.backend();
-        if fb == 4 {
-            let block = &mut acc[..4 * np];
-            let (r0, rest) = block.split_at_mut(np);
-            let (r1, rest) = rest.split_at_mut(np);
-            let (r2, r3) = rest.split_at_mut(np);
-            for j in 0..kwords {
-                let src = &b[j * np..(j + 1) * np];
-                let ws = [a[j], a[kwords + j], a[2 * kwords + j], a[3 * kwords + j]];
-                accum_xor_popcount_x4(
-                    backend,
-                    [&mut r0[..], &mut r1[..], &mut r2[..], &mut r3[..]],
-                    src,
-                    ws,
-                );
-            }
-        } else {
-            for f in 0..fb {
-                let row = &mut acc[f * np..(f + 1) * np];
-                for j in 0..kwords {
-                    accum_xor_popcount(backend, row, &b[j * np..(j + 1) * np], a[f * kwords + j]);
+        for f in 0..fb {
+            let af = &a[f * kwords..(f + 1) * kwords];
+            for (p, out) in acc[f * np..(f + 1) * np].iter_mut().enumerate() {
+                let mut s = 0u32;
+                for (j, &w) in af.iter().enumerate() {
+                    s += (w ^ b[j * np + p]).count_ones();
                 }
+                *out += s as i32;
             }
         }
     }
 }
 
-/// Reference GEMM: default impl over the scalar span kernels.
+/// Reference GEMM: the trait's scalar default.
 pub struct ScalarGemm;
 impl PopcountGemm for ScalarGemm {
     fn backend(&self) -> KernelBackend {
         KernelBackend::Scalar
-    }
-}
-
-/// SWAR GEMM: default impl over the SWAR span kernels.
-pub struct SwarGemm;
-impl PopcountGemm for SwarGemm {
-    fn backend(&self) -> KernelBackend {
-        KernelBackend::Swar
-    }
-}
-
-/// SSSE3 GEMM: default impl over the SSSE3 span kernels.
-#[cfg(target_arch = "x86_64")]
-pub struct Ssse3Gemm;
-#[cfg(target_arch = "x86_64")]
-impl PopcountGemm for Ssse3Gemm {
-    fn backend(&self) -> KernelBackend {
-        KernelBackend::Ssse3
     }
 }
 
@@ -135,10 +103,6 @@ impl PopcountGemm for Avx2Gemm {
         np: usize,
         kwords: usize,
     ) {
-        debug_assert!((1..=4).contains(&fb));
-        debug_assert!(acc.len() >= fb * np);
-        debug_assert!(a.len() >= fb * kwords);
-        debug_assert!(b.len() >= kwords * np);
         // SAFETY: this struct is only handed out by `gemm_backend` for
         // a backend that passed `is_supported()` (AVX2 detected).
         unsafe { super::x86::gemm_block_avx2(acc, fb, a, b, np, kwords) }
@@ -163,10 +127,6 @@ impl PopcountGemm for Avx512Gemm {
         np: usize,
         kwords: usize,
     ) {
-        debug_assert!((1..=4).contains(&fb));
-        debug_assert!(acc.len() >= fb * np);
-        debug_assert!(a.len() >= fb * kwords);
-        debug_assert!(b.len() >= kwords * np);
         // SAFETY: see `Avx2Gemm` — AVX-512F + AVX-512VPOPCNTDQ detected.
         unsafe { super::avx512::gemm_block_avx512(acc, fb, a, b, np, kwords) }
     }
@@ -190,16 +150,12 @@ impl PopcountGemm for NeonGemm {
         np: usize,
         kwords: usize,
     ) {
-        debug_assert!((1..=4).contains(&fb));
-        debug_assert!(acc.len() >= fb * np);
-        debug_assert!(a.len() >= fb * kwords);
-        debug_assert!(b.len() >= kwords * np);
         // SAFETY: NEON is baseline on AArch64.
         unsafe { super::neon::gemm_block_neon(acc, fb, a, b, np, kwords) }
     }
 }
 
-/// The GEMM tier for a dispatched span backend.
+/// The GEMM implementation for a dispatched backend.
 ///
 /// Total over all [`KernelBackend`] values; variants compiled out on
 /// this architecture fall back to the scalar reference (they can never
@@ -207,9 +163,6 @@ impl PopcountGemm for NeonGemm {
 pub fn gemm_backend(backend: KernelBackend) -> &'static dyn PopcountGemm {
     match backend {
         KernelBackend::Scalar => &ScalarGemm,
-        KernelBackend::Swar => &SwarGemm,
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Ssse3 => &Ssse3Gemm,
         #[cfg(target_arch = "x86_64")]
         KernelBackend::Avx2 => &Avx2Gemm,
         #[cfg(target_arch = "x86_64")]
@@ -252,10 +205,15 @@ mod tests {
 
     #[test]
     fn gemm_backends_match_reference() {
-        // np values cover the vector widths and every tail length:
-        // 16/8/4/2-lane main loops plus 1..3 scalar remainders.
-        for &np in &[1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64] {
-            for &kwords in &[1usize, 2, 3, 5, 9] {
+        // np values cover the vector widths and every tail length
+        // (16/8/4/2-lane main loops plus 1..3 scalar remainders) and
+        // the full GEMM tile and one short of it; kwords covers the
+        // dense reduction depths of the paper net (c=1 stem: 1; c=8,
+        // 3×3: 2; c=64, 3×3: 9) plus words either side of 8 and 16.
+        for &np in &[
+            1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64, 1023, 1024,
+        ] {
+            for &kwords in &[1usize, 2, 3, 5, 7, 8, 9, 16, 17] {
                 for fb in 1..=4usize {
                     let a = words(fb as u64 * 31 + kwords as u64, fb * kwords);
                     let b = words(np as u64 * 7 + 1, kwords * np);
@@ -280,14 +238,7 @@ mod tests {
 
     #[test]
     fn gemm_backend_is_total_over_all_backends() {
-        for backend in [
-            KernelBackend::Scalar,
-            KernelBackend::Swar,
-            KernelBackend::Ssse3,
-            KernelBackend::Avx2,
-            KernelBackend::Avx512,
-            KernelBackend::Neon,
-        ] {
+        for backend in KernelBackend::ALL {
             // Must not panic even for unsupported/foreign backends.
             let _ = gemm_backend(backend);
         }

@@ -4,8 +4,8 @@
 //! stride, pad)` — never on weights or activations — so a
 //! [`ConvGeometry`] is computed once per `Step::Conv` at plan-compile
 //! time and shared across every batch item, filter, and forward call.
-//! Previously `xnor_plane` rebuilt the `taps_hit` table and the
-//! per-tap output ranges on every single (batch, filter) plane.
+//! Previously `xnor_plane` rebuilt the `taps_hit` table on every
+//! single (batch, filter) plane.
 
 /// The output rectangle whose every pixel sees all `kh·kw` taps in
 /// bounds (no padding).  Half-open: rows `oy0..oy1`, cols `ox0..ox1`.
@@ -15,17 +15,6 @@ pub struct Interior {
     pub oy1: usize,
     pub ox0: usize,
     pub ox1: usize,
-}
-
-/// Per-tap valid output range: tap `(ky, kx)` touches an in-bounds
-/// input pixel exactly for `oy` in `oy_lo..oy_hi` and `ox` in
-/// `ox_lo..ox_hi`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TapRange {
-    pub oy_lo: usize,
-    pub oy_hi: usize,
-    pub ox_lo: usize,
-    pub ox_hi: usize,
 }
 
 /// Shape-derived tables for one packed convolution (see module docs).
@@ -43,7 +32,6 @@ pub struct ConvGeometry {
     /// Packed words per pixel: `c.div_ceil(64)`.
     pub wpp: usize,
     taps_hit: Vec<i32>,
-    tap_ranges: Vec<TapRange>,
     interior: Option<Interior>,
 }
 
@@ -71,30 +59,6 @@ impl ConvGeometry {
         );
         let oh = (h + 2 * pad - kh) / stride + 1;
         let ow = (w + 2 * pad - kw) / stride + 1;
-
-        // Per-tap valid output ranges: oy*stride + ky - pad in [0, h).
-        let range = |k: usize, dim: usize, out: usize| {
-            let lo = pad.saturating_sub(k).div_ceil(stride);
-            let hi = if dim + pad > k {
-                ((dim + pad - k - 1) / stride + 1).min(out)
-            } else {
-                0
-            };
-            (lo, hi.max(lo))
-        };
-        let mut tap_ranges = Vec::with_capacity(kh * kw);
-        for ky in 0..kh {
-            let (oy_lo, oy_hi) = range(ky, h, oh);
-            for kx in 0..kw {
-                let (ox_lo, ox_hi) = range(kx, w, ow);
-                tap_ranges.push(TapRange {
-                    oy_lo,
-                    oy_hi,
-                    ox_lo,
-                    ox_hi,
-                });
-            }
-        }
 
         // taps_hit is separable: (valid ky count) x (valid kx count).
         let valid = |k_dim: usize, dim: usize, o: usize| -> i32 {
@@ -140,7 +104,6 @@ impl ConvGeometry {
             ow,
             wpp: c.div_ceil(64),
             taps_hit,
-            tap_ranges,
             interior,
         }
     }
@@ -148,11 +111,6 @@ impl ConvGeometry {
     /// Number of in-bounds taps for every output pixel (`oh*ow`).
     pub fn taps_hit(&self) -> &[i32] {
         &self.taps_hit
-    }
-
-    /// Valid output range of tap `(ky, kx)`.
-    pub fn tap_range(&self, ky: usize, kx: usize) -> TapRange {
-        self.tap_ranges[ky * self.kw + kx]
     }
 
     /// The fully-in-bounds output rectangle, when non-empty.
@@ -181,12 +139,6 @@ mod tests {
                         if inb {
                             hits += 1;
                         }
-                        let r = g.tap_range(ky, kx);
-                        assert_eq!(
-                            inb,
-                            (r.oy_lo..r.oy_hi).contains(&oy) && (r.ox_lo..r.ox_hi).contains(&ox),
-                            "tap range ({ky},{kx}) at ({oy},{ox}) h={h} w={w} k={k} s={stride} p={pad}"
-                        );
                     }
                 }
                 assert_eq!(g.taps_hit()[oy * g.ow + ox], hits);

@@ -1,50 +1,41 @@
-//! Runtime-dispatched XNOR+popcount inner loops.
+//! Runtime-dispatched XNOR+popcount kernels.
 //!
-//! The packed convolution spends essentially all of its time in two
-//! tiny primitives over channel-packed `u64` words:
+//! Every packed convolution runs one engine (see `packed.rs`): its
+//! interior is a bit-sliced XNOR-GEMM — each output pixel's receptive
+//! field densely repacked as a B-matrix column, each filter's weights
+//! as an A-matrix row — driven through the [`gemm::PopcountGemm`]
+//! microkernel of the dispatched backend, at every batch size.  The
+//! thin border outside the interior rectangle takes a bounds-checked
+//! scalar path.  Besides the GEMM block, each backend provides
+//! [`xor_popcount`] (total mismatch count between two equal-length
+//! word spans) and, where it pays, the fused affine + sign-pack pass
+//! [`pack_affine_mean`].
 //!
-//! * [`xor_popcount`] — total mismatch count between two equal-length
-//!   word spans (the per-pixel inner product for multi-word channels);
-//! * [`accum_xor_popcount`] / [`accum_xor_popcount_x4`] — for a run of
-//!   stride-1 output pixels, `acc[i] += popcount(src[i] ^ w)` against a
-//!   broadcast filter word (the single-word-per-pixel fast path; the
-//!   `_x4` form reuses each loaded input word across four output
-//!   filters).
-//!
-//! Six implementations exist, selected **once** per
+//! Four implementations exist, selected **once** per
 //! [`ExecPlan`](crate::plan::ExecPlan) compile (not per call):
 //!
 //! * [`KernelBackend::Scalar`] — the always-correct reference:
 //!   one-word-at-a-time `u64::count_ones` (compiles to hardware
-//!   `popcnt` where available).
-//! * [`KernelBackend::Swar`] — portable SWAR popcount, four
-//!   independent accumulator chains per iteration for instruction-level
-//!   parallelism.  Works on every architecture, but benches at parity
-//!   with (or below) the scalar loop on CPUs with hardware popcount,
-//!   so it is **never auto-detected** — it exists as a forceable
-//!   portability fallback and test subject only.
-//! * [`KernelBackend::Ssse3`] — `pshufb` nibble-lookup popcount on
-//!   128-bit lanes (`std::arch`, gated by `is_x86_feature_detected!`).
-//! * [`KernelBackend::Avx2`] — the same lookup on 256-bit lanes, four
-//!   `u64` words per iteration.
+//!   `popcnt` where available); its GEMM block is the plain triple
+//!   loop.
+//! * [`KernelBackend::Avx2`] — Muła `pshufb` nibble-lookup popcount on
+//!   256-bit lanes, four `u64` words per vector (x86-64, gated by
+//!   `is_x86_feature_detected!`).
 //! * [`KernelBackend::Avx512`] — native per-lane popcount
-//!   (`vpopcntdq`) on 512-bit lanes, eight `u64` words per iteration;
+//!   (`vpopcntdq`) on 512-bit lanes, eight `u64` words per vector;
 //!   requires both `avx512f` and `avx512vpopcntdq`.
 //! * [`KernelBackend::Neon`] — AArch64 `vcntq_u8` byte popcount with
-//!   pairwise widening reduction, two `u64` words per iteration.
-//!
-//! Each backend also carries a batched bit-sliced GEMM tier behind the
-//! [`gemm::PopcountGemm`] trait (see `kernels/gemm.rs`): the forced /
-//! detected [`KernelBackend`] selects both the span kernels below and
-//! the GEMM microkernel together.
+//!   pairwise widening reduction, two `u64` words per vector.
 //!
 //! All backends compute identical integer counts, so every backend
 //! produces **bit-identical logits** (enforced by the
-//! `kernel_backends_*` property tests).  [`active_backend`] picks the
-//! best supported backend at first use; the `HOTSPOT_KERNEL_BACKEND`
-//! environment variable
-//! (`scalar`/`swar`/`ssse3`/`avx2`/`avx512`/`neon`) overrides the
-//! choice for benchmarking and CI equivalence runs.
+//! `kernel_backends_*` / `plan_*backends*` property tests).
+//! [`active_backend`] picks the best supported backend at first use;
+//! the `HOTSPOT_KERNEL_BACKEND` environment variable
+//! (`scalar`/`avx2`/`avx512`/`neon`) overrides the choice for
+//! benchmarking and CI equivalence runs.  Any other value — including
+//! the retired `swar` and `ssse3` spellings — falls back to
+//! auto-detection through a `kernels.backend_fallback` event.
 
 #[cfg(target_arch = "x86_64")]
 mod avx512;
@@ -53,7 +44,6 @@ pub mod geom;
 #[cfg(target_arch = "aarch64")]
 mod neon;
 mod scalar;
-mod swar;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
@@ -68,10 +58,6 @@ use std::sync::OnceLock;
 pub enum KernelBackend {
     /// One-word-at-a-time reference loop.
     Scalar,
-    /// Portable SWAR popcount, 4 `u64` lanes per iteration for ILP.
-    Swar,
-    /// SSE `pshufb` nibble-lookup popcount (x86-64 only).
-    Ssse3,
     /// AVX2 nibble-lookup popcount, 4 `u64` words per vector
     /// (x86-64 only).
     Avx2,
@@ -84,13 +70,19 @@ pub enum KernelBackend {
 }
 
 impl KernelBackend {
+    /// Every backend, reference first (supported on this CPU or not).
+    pub const ALL: [KernelBackend; 4] = [
+        KernelBackend::Scalar,
+        KernelBackend::Avx2,
+        KernelBackend::Avx512,
+        KernelBackend::Neon,
+    ];
+
     /// Stable lowercase name (also the `HOTSPOT_KERNEL_BACKEND`
     /// spelling).
     pub fn name(self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
-            KernelBackend::Swar => "swar",
-            KernelBackend::Ssse3 => "ssse3",
             KernelBackend::Avx2 => "avx2",
             KernelBackend::Avx512 => "avx512",
             KernelBackend::Neon => "neon",
@@ -99,23 +91,16 @@ impl KernelBackend {
 
     /// Parses a backend name as spelled by [`KernelBackend::name`].
     pub fn parse(s: &str) -> Option<KernelBackend> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(KernelBackend::Scalar),
-            "swar" => Some(KernelBackend::Swar),
-            "ssse3" => Some(KernelBackend::Ssse3),
-            "avx2" => Some(KernelBackend::Avx2),
-            "avx512" => Some(KernelBackend::Avx512),
-            "neon" => Some(KernelBackend::Neon),
-            _ => None,
-        }
+        let s = s.trim().to_ascii_lowercase();
+        KernelBackend::ALL.into_iter().find(|b| b.name() == s)
     }
 
-    /// `u64` words processed per inner-loop iteration (reporting).
+    /// `u64` words per vector register of this backend (reporting).
     pub fn u64_lanes(self) -> usize {
         match self {
             KernelBackend::Scalar => 1,
-            KernelBackend::Swar | KernelBackend::Avx2 => 4,
-            KernelBackend::Ssse3 | KernelBackend::Neon => 2,
+            KernelBackend::Neon => 2,
+            KernelBackend::Avx2 => 4,
             KernelBackend::Avx512 => 8,
         }
     }
@@ -123,9 +108,7 @@ impl KernelBackend {
     /// Whether this backend can run on the current CPU.
     pub fn is_supported(self) -> bool {
         match self {
-            KernelBackend::Scalar | KernelBackend::Swar => true,
-            #[cfg(target_arch = "x86_64")]
-            KernelBackend::Ssse3 => std::arch::is_x86_feature_detected!("ssse3"),
+            KernelBackend::Scalar => true,
             #[cfg(target_arch = "x86_64")]
             KernelBackend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
@@ -142,31 +125,18 @@ impl KernelBackend {
 
     /// Every backend the current CPU supports, reference first.
     pub fn available() -> Vec<KernelBackend> {
-        [
-            KernelBackend::Scalar,
-            KernelBackend::Swar,
-            KernelBackend::Ssse3,
-            KernelBackend::Avx2,
-            KernelBackend::Avx512,
-            KernelBackend::Neon,
-        ]
-        .into_iter()
-        .filter(|b| b.is_supported())
-        .collect()
+        KernelBackend::ALL
+            .into_iter()
+            .filter(|b| b.is_supported())
+            .collect()
     }
 
-    /// The best supported backend on this CPU.
-    ///
-    /// Preference order: AVX-512 > AVX2 > SSSE3 > NEON > scalar.  SWAR
-    /// is deliberately absent — it benches at or below the scalar loop
-    /// on hardware with native popcount (see BENCH_kernels.json), so
-    /// auto-detection never picks it; it remains forceable via
-    /// `HOTSPOT_KERNEL_BACKEND=swar`.
+    /// The best supported backend on this CPU: AVX-512 > AVX2 > NEON >
+    /// scalar.
     pub fn detect() -> KernelBackend {
         [
             KernelBackend::Avx512,
             KernelBackend::Avx2,
-            KernelBackend::Ssse3,
             KernelBackend::Neon,
         ]
         .into_iter()
@@ -239,12 +209,9 @@ pub fn xor_popcount(backend: KernelBackend, x: &[u64], y: &[u64]) -> u32 {
     debug_assert_eq!(x.len(), y.len());
     match backend {
         KernelBackend::Scalar => scalar::xor_popcount(x, y),
-        KernelBackend::Swar => swar::xor_popcount(x, y),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: backends are only selected when
         // `is_x86_feature_detected!` confirmed the feature.
-        KernelBackend::Ssse3 => unsafe { x86::xor_popcount_ssse3(x, y) },
-        #[cfg(target_arch = "x86_64")]
         KernelBackend::Avx2 => unsafe { x86::xor_popcount_avx2(x, y) },
         #[cfg(target_arch = "x86_64")]
         KernelBackend::Avx512 => unsafe { avx512::xor_popcount_avx512(x, y) },
@@ -254,63 +221,6 @@ pub fn xor_popcount(backend: KernelBackend, x: &[u64], y: &[u64]) -> u32 {
         // (`is_supported()` is false); keep the match total.
         #[allow(unreachable_patterns)]
         _ => scalar::xor_popcount(x, y),
-    }
-}
-
-/// `acc[i] += popcount(src[i] ^ w)` over a run of stride-1 pixels.
-///
-/// # Panics
-///
-/// Panics (debug) when the lengths differ.
-#[inline]
-pub fn accum_xor_popcount(backend: KernelBackend, acc: &mut [i32], src: &[u64], w: u64) {
-    debug_assert_eq!(acc.len(), src.len());
-    match backend {
-        KernelBackend::Scalar => scalar::accum_xor_popcount(acc, src, w),
-        KernelBackend::Swar => swar::accum_xor_popcount(acc, src, w),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: see `xor_popcount`.
-        KernelBackend::Ssse3 => unsafe { x86::accum_xor_popcount_ssse3(acc, src, w) },
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx2 => unsafe { x86::accum_xor_popcount_avx2(acc, src, w) },
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx512 => unsafe { avx512::accum_xor_popcount_avx512(acc, src, w) },
-        #[cfg(target_arch = "aarch64")]
-        KernelBackend::Neon => unsafe { neon::accum_xor_popcount_neon(acc, src, w) },
-        #[allow(unreachable_patterns)]
-        _ => scalar::accum_xor_popcount(acc, src, w),
-    }
-}
-
-/// Four-filter form of [`accum_xor_popcount`]: each loaded input word
-/// is XNOR-accumulated against four filter words into four accumulator
-/// rows (the filter-blocked interior loop).
-///
-/// # Panics
-///
-/// Panics (debug) when any accumulator length differs from `src`.
-#[inline]
-pub fn accum_xor_popcount_x4(
-    backend: KernelBackend,
-    acc: [&mut [i32]; 4],
-    src: &[u64],
-    ws: [u64; 4],
-) {
-    debug_assert!(acc.iter().all(|a| a.len() == src.len()));
-    match backend {
-        KernelBackend::Scalar => scalar::accum_xor_popcount_x4(acc, src, ws),
-        KernelBackend::Swar => swar::accum_xor_popcount_x4(acc, src, ws),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: see `xor_popcount`.
-        KernelBackend::Ssse3 => unsafe { x86::accum_xor_popcount_x4_ssse3(acc, src, ws) },
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx2 => unsafe { x86::accum_xor_popcount_x4_avx2(acc, src, ws) },
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx512 => unsafe { avx512::accum_xor_popcount_x4_avx512(acc, src, ws) },
-        #[cfg(target_arch = "aarch64")]
-        KernelBackend::Neon => unsafe { neon::accum_xor_popcount_x4_neon(acc, src, ws) },
-        #[allow(unreachable_patterns)]
-        _ => scalar::accum_xor_popcount_x4(acc, src, ws),
     }
 }
 
@@ -399,18 +309,19 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn resolve_backend_reports_bad_values_via_telemetry() {
+    /// Resolves `requested` with a collecting subscriber installed and
+    /// returns the backend plus the fields of every
+    /// `kernels.backend_fallback` event.  The subscriber is process
+    /// global, so callers are serialized.
+    fn resolve_collecting(requested: &str) -> (KernelBackend, Vec<Vec<(String, String)>>) {
         use hotspot_telemetry::{trace, CollectingSubscriber, Record};
-        use std::sync::Arc;
-
-        // Unset and valid values resolve silently.
-        assert_eq!(resolve_backend(None), KernelBackend::detect());
-        assert_eq!(resolve_backend(Some("scalar")), KernelBackend::Scalar);
+        use std::sync::{Arc, Mutex};
+        static SERIAL: Mutex<()> = Mutex::new(());
+        let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
 
         let sink = Arc::new(CollectingSubscriber::new());
         let prev = trace::set_subscriber(sink.clone());
-        let resolved = resolve_backend(Some("quantum"));
+        let resolved = resolve_backend(Some(requested));
         match prev {
             Some(p) => {
                 trace::set_subscriber(p);
@@ -419,28 +330,73 @@ mod tests {
                 trace::clear_subscriber();
             }
         }
-        assert_eq!(resolved, KernelBackend::detect());
-        let fallback_events: Vec<_> = sink
+        let events = sink
             .records()
             .into_iter()
             .filter_map(|r| match r {
-                Record::Event { name, fields, .. } if name == "kernels.backend_fallback" => {
-                    Some(fields)
-                }
+                Record::Event { name, fields, .. } if name == "kernels.backend_fallback" => Some(
+                    fields
+                        .into_iter()
+                        .map(|(k, v)| (k, format!("{v:?}")))
+                        .collect(),
+                ),
                 _ => None,
             })
             .collect();
-        assert_eq!(fallback_events.len(), 1, "exactly one fallback event");
-        let fields = &fallback_events[0];
-        let get = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| format!("{v:?}"))
-                .unwrap_or_default()
-        };
-        assert!(get("requested").contains("quantum"), "{fields:?}");
-        assert!(get("reason").contains("unrecognized_value"), "{fields:?}");
+        (resolved, events)
+    }
+
+    fn field<'a>(fields: &'a [(String, String)], key: &str) -> &'a str {
+        fields
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or("", |(_, v)| v.as_str())
+    }
+
+    #[test]
+    fn resolve_backend_reports_bad_values_via_telemetry() {
+        // Unset and valid values resolve silently.
+        assert_eq!(resolve_backend(None), KernelBackend::detect());
+        let (resolved, events) = resolve_collecting("scalar");
+        assert_eq!(resolved, KernelBackend::Scalar);
+        assert!(events.is_empty(), "{events:?}");
+
+        let (resolved, events) = resolve_collecting("quantum");
+        assert_eq!(resolved, KernelBackend::detect());
+        assert_eq!(events.len(), 1, "exactly one fallback event");
+        assert!(
+            field(&events[0], "requested").contains("quantum"),
+            "{events:?}"
+        );
+        assert!(
+            field(&events[0], "reason").contains("unrecognized_value"),
+            "{events:?}"
+        );
+    }
+
+    #[test]
+    fn retired_backend_names_fall_back_to_detection() {
+        // SWAR and SSSE3 were removed; forcing them must neither panic
+        // nor silently pick something unannounced.
+        for name in ["swar", "ssse3", "SSSE3"] {
+            assert_eq!(KernelBackend::parse(name), None, "{name}");
+            let (resolved, events) = resolve_collecting(name);
+            assert_eq!(resolved, KernelBackend::detect(), "{name}");
+            assert_eq!(
+                events.len(),
+                1,
+                "{name}: one fallback event, got {events:?}"
+            );
+            assert!(field(&events[0], "requested").contains(name), "{events:?}");
+            assert!(
+                field(&events[0], "reason").contains("unrecognized_value"),
+                "{events:?}"
+            );
+            assert!(
+                field(&events[0], "using").contains(KernelBackend::detect().name()),
+                "{events:?}"
+            );
+        }
     }
 
     #[test]
@@ -459,37 +415,6 @@ mod tests {
                 );
             }
             assert_eq!(xor_popcount(backend, &x, &y), expect, "{}", backend.name());
-        }
-    }
-
-    #[test]
-    fn accum_backends_match_scalar() {
-        let src = words(3, 133);
-        let w = 0xdead_beef_f00d_cafe;
-        let mut expect = vec![5i32; src.len()];
-        accum_xor_popcount(KernelBackend::Scalar, &mut expect, &src, w);
-        for backend in KernelBackend::available() {
-            let mut acc = vec![5i32; src.len()];
-            accum_xor_popcount(backend, &mut acc, &src, w);
-            assert_eq!(acc, expect, "{}", backend.name());
-        }
-    }
-
-    #[test]
-    fn accum_x4_matches_four_single_accums() {
-        let src = words(4, 67);
-        let ws4 = [1u64, !0u64, 0x5555_5555_5555_5555, 0x0123_4567_89ab_cdef];
-        let mut expect = vec![vec![0i32; src.len()]; 4];
-        for (f, e) in expect.iter_mut().enumerate() {
-            accum_xor_popcount(KernelBackend::Scalar, e, &src, ws4[f]);
-        }
-        for backend in KernelBackend::available() {
-            let mut acc = vec![vec![0i32; src.len()]; 4];
-            let [a0, a1, a2, a3] = &mut acc[..] else {
-                unreachable!()
-            };
-            accum_xor_popcount_x4(backend, [a0, a1, a2, a3], &src, ws4);
-            assert_eq!(acc, expect, "{}", backend.name());
         }
     }
 

@@ -51,70 +51,6 @@ pub unsafe fn xor_popcount_neon(x: &[u64], y: &[u64]) -> u32 {
     sum
 }
 
-/// # Safety
-///
-/// Requires NEON (baseline on AArch64).
-#[target_feature(enable = "neon")]
-pub unsafe fn accum_xor_popcount_neon(acc: &mut [i32], src: &[u64], w: u64) {
-    debug_assert_eq!(acc.len(), src.len());
-    let wv = vdupq_n_u64(w);
-    let sc = src.chunks_exact(2);
-    let sr = sc.remainder();
-    let mut done = 0;
-    for s in sc {
-        let v = veorq_u64(vld1q_u64(s.as_ptr()), wv);
-        let cnt = popcnt_u64x2(vreinterpretq_u8_u64(v));
-        acc[done] += vgetq_lane_u64(cnt, 0) as i32;
-        acc[done + 1] += vgetq_lane_u64(cnt, 1) as i32;
-        done += 2;
-    }
-    for (a, &s) in acc[done..].iter_mut().zip(sr) {
-        *a += (s ^ w).count_ones() as i32;
-    }
-}
-
-/// # Safety
-///
-/// Requires NEON (baseline on AArch64).
-#[target_feature(enable = "neon")]
-pub unsafe fn accum_xor_popcount_x4_neon(acc: [&mut [i32]; 4], src: &[u64], ws: [u64; 4]) {
-    let [a0, a1, a2, a3] = acc;
-    debug_assert!(a0.len() == src.len() && a1.len() == src.len());
-    debug_assert!(a2.len() == src.len() && a3.len() == src.len());
-    let wv = [
-        vdupq_n_u64(ws[0]),
-        vdupq_n_u64(ws[1]),
-        vdupq_n_u64(ws[2]),
-        vdupq_n_u64(ws[3]),
-    ];
-    let sc = src.chunks_exact(2);
-    let sr = sc.remainder();
-    let mut done = 0;
-    for s in sc {
-        // One load feeds all four filters.
-        let v = vld1q_u64(s.as_ptr());
-        let c0 = popcnt_u64x2(vreinterpretq_u8_u64(veorq_u64(v, wv[0])));
-        a0[done] += vgetq_lane_u64(c0, 0) as i32;
-        a0[done + 1] += vgetq_lane_u64(c0, 1) as i32;
-        let c1 = popcnt_u64x2(vreinterpretq_u8_u64(veorq_u64(v, wv[1])));
-        a1[done] += vgetq_lane_u64(c1, 0) as i32;
-        a1[done + 1] += vgetq_lane_u64(c1, 1) as i32;
-        let c2 = popcnt_u64x2(vreinterpretq_u8_u64(veorq_u64(v, wv[2])));
-        a2[done] += vgetq_lane_u64(c2, 0) as i32;
-        a2[done + 1] += vgetq_lane_u64(c2, 1) as i32;
-        let c3 = popcnt_u64x2(vreinterpretq_u8_u64(veorq_u64(v, wv[3])));
-        a3[done] += vgetq_lane_u64(c3, 0) as i32;
-        a3[done + 1] += vgetq_lane_u64(c3, 1) as i32;
-        done += 2;
-    }
-    for (i, &s) in sr.iter().enumerate() {
-        a0[done + i] += (s ^ ws[0]).count_ones() as i32;
-        a1[done + i] += (s ^ ws[1]).count_ones() as i32;
-        a2[done + i] += (s ^ ws[2]).count_ones() as i32;
-        a3[done + i] += (s ^ ws[3]).count_ones() as i32;
-    }
-}
-
 /// Register-blocked popcount-GEMM microkernel: for `FB ≤ 4` filters,
 /// `acc[f*np + p] += Σ_j popcount(a[f*kwords + j] ^ b[j*np + p])`.
 ///
@@ -172,7 +108,9 @@ unsafe fn gemm_block_fb_neon<const FB: usize>(
 ///
 /// # Safety
 ///
-/// Requires NEON (baseline on AArch64).
+/// Requires NEON (baseline on AArch64); slice bounds as in
+/// `PopcountGemm::gemm_block` (asserted in debug builds — the
+/// microkernel reads and writes through unchecked pointers).
 #[target_feature(enable = "neon")]
 pub unsafe fn gemm_block_neon(
     acc: &mut [i32],
@@ -182,6 +120,10 @@ pub unsafe fn gemm_block_neon(
     np: usize,
     kwords: usize,
 ) {
+    debug_assert!((1..=4).contains(&fb), "filter block {fb} outside 1..=4");
+    debug_assert!(acc.len() >= fb * np, "acc shorter than fb·np");
+    debug_assert!(a.len() >= fb * kwords, "a shorter than fb·kwords");
+    debug_assert!(b.len() >= kwords * np, "b shorter than kwords·np");
     match fb {
         4 => gemm_block_fb_neon::<4>(acc, a, b, np, kwords),
         3 => gemm_block_fb_neon::<3>(acc, a, b, np, kwords),

@@ -6,19 +6,3 @@
 pub fn xor_popcount(x: &[u64], y: &[u64]) -> u32 {
     x.iter().zip(y).map(|(&a, &b)| (a ^ b).count_ones()).sum()
 }
-
-pub fn accum_xor_popcount(acc: &mut [i32], src: &[u64], w: u64) {
-    for (a, &s) in acc.iter_mut().zip(src) {
-        *a += (s ^ w).count_ones() as i32;
-    }
-}
-
-pub fn accum_xor_popcount_x4(acc: [&mut [i32]; 4], src: &[u64], ws: [u64; 4]) {
-    let [a0, a1, a2, a3] = acc;
-    for (i, &s) in src.iter().enumerate() {
-        a0[i] += (s ^ ws[0]).count_ones() as i32;
-        a1[i] += (s ^ ws[1]).count_ones() as i32;
-        a2[i] += (s ^ ws[2]).count_ones() as i32;
-        a3[i] += (s ^ ws[3]).count_ones() as i32;
-    }
-}

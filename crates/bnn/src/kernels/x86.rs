@@ -1,12 +1,12 @@
-//! x86-64 SIMD kernels: `pshufb` nibble-lookup popcount.
+//! x86-64 AVX2 kernels: `pshufb` nibble-lookup popcount.
 //!
 //! The popcount of a byte is the sum of the popcounts of its two
 //! nibbles, and a 16-entry nibble→count table fits exactly in one
 //! `pshufb` shuffle register.  Per vector: mask out the low nibbles,
 //! shift+mask the high nibbles, look both up, add, then `psadbw`
 //! against zero horizontally sums the byte counts into one u64 per
-//! 64-bit lane.  This is the standard Muła lookup popcount; AVX2
-//! processes four `u64` words per iteration, SSSE3 two.
+//! 64-bit lane.  This is the standard Muła lookup popcount, four `u64`
+//! words per 256-bit vector.
 //!
 //! Every function is `unsafe` + `#[target_feature]`: callers (the
 //! dispatchers in `kernels::mod`) must have verified the feature with
@@ -35,22 +35,6 @@ unsafe fn popcnt_epi64_avx2(v: __m256i) -> __m256i {
     _mm256_sad_epu8(cnt, _mm256_setzero_si256())
 }
 
-/// Per-lane popcount of a 128-bit vector: returns two u64 counts.
-///
-/// # Safety
-///
-/// Requires SSSE3.
-#[inline]
-#[target_feature(enable = "ssse3")]
-unsafe fn popcnt_epi64_ssse3(v: __m128i) -> __m128i {
-    let lut = _mm_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-    let low_mask = _mm_set1_epi8(0x0f);
-    let lo = _mm_and_si128(v, low_mask);
-    let hi = _mm_and_si128(_mm_srli_epi16(v, 4), low_mask);
-    let cnt = _mm_add_epi8(_mm_shuffle_epi8(lut, lo), _mm_shuffle_epi8(lut, hi));
-    _mm_sad_epu8(cnt, _mm_setzero_si128())
-}
-
 /// # Safety
 ///
 /// Requires AVX2 (checked by the dispatcher).
@@ -77,31 +61,6 @@ pub unsafe fn xor_popcount_avx2(x: &[u64], y: &[u64]) -> u32 {
     sum
 }
 
-/// # Safety
-///
-/// Requires SSSE3 (checked by the dispatcher).
-#[target_feature(enable = "ssse3")]
-pub unsafe fn xor_popcount_ssse3(x: &[u64], y: &[u64]) -> u32 {
-    debug_assert_eq!(x.len(), y.len());
-    let mut total = _mm_setzero_si128();
-    let xc = x.chunks_exact(2);
-    let yc = y.chunks_exact(2);
-    let xr = xc.remainder();
-    let yr = yc.remainder();
-    for (a, b) in xc.zip(yc) {
-        let va = _mm_loadu_si128(a.as_ptr() as *const __m128i);
-        let vb = _mm_loadu_si128(b.as_ptr() as *const __m128i);
-        total = _mm_add_epi64(total, popcnt_epi64_ssse3(_mm_xor_si128(va, vb)));
-    }
-    let lo = _mm_cvtsi128_si64(total) as u64;
-    let hi = _mm_cvtsi128_si64(_mm_unpackhi_epi64(total, total)) as u64;
-    let mut sum = (lo + hi) as u32;
-    for (&a, &b) in xr.iter().zip(yr) {
-        sum += (a ^ b).count_ones();
-    }
-    sum
-}
-
 /// Narrows four u64 lane counts to four i32 and adds them into `acc`.
 ///
 /// # Safety
@@ -116,108 +75,6 @@ unsafe fn add_counts4_avx2(acc: *mut i32, cnt: __m256i) {
     let packed = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(cnt, idx));
     let av = _mm_loadu_si128(acc as *const __m128i);
     _mm_storeu_si128(acc as *mut __m128i, _mm_add_epi32(av, packed));
-}
-
-/// Narrows two u64 lane counts to two i32 and adds them into `acc`.
-///
-/// # Safety
-///
-/// Requires SSSE3 (SSE2 suffices); `acc` must have at least 2 elements.
-#[inline]
-#[target_feature(enable = "ssse3")]
-unsafe fn add_counts2_ssse3(acc: *mut i32, cnt: __m128i) {
-    // Dwords [c0, 0, c1, 0] -> [c0, c1, _, _]; add the low 64 bits.
-    let packed = _mm_shuffle_epi32(cnt, 0b00_00_10_00);
-    let av = _mm_loadl_epi64(acc as *const __m128i);
-    _mm_storel_epi64(acc as *mut __m128i, _mm_add_epi32(av, packed));
-}
-
-/// # Safety
-///
-/// Requires AVX2 (checked by the dispatcher).
-#[target_feature(enable = "avx2")]
-pub unsafe fn accum_xor_popcount_avx2(acc: &mut [i32], src: &[u64], w: u64) {
-    debug_assert_eq!(acc.len(), src.len());
-    let wv = _mm256_set1_epi64x(w as i64);
-    let sc = src.chunks_exact(4);
-    let sr = sc.remainder();
-    let mut done = 0;
-    for s in sc {
-        let v = _mm256_loadu_si256(s.as_ptr() as *const __m256i);
-        let cnt = popcnt_epi64_avx2(_mm256_xor_si256(v, wv));
-        add_counts4_avx2(acc.as_mut_ptr().add(done), cnt);
-        done += 4;
-    }
-    for (a, &s) in acc[done..].iter_mut().zip(sr) {
-        *a += (s ^ w).count_ones() as i32;
-    }
-}
-
-/// # Safety
-///
-/// Requires SSSE3 (checked by the dispatcher).
-#[target_feature(enable = "ssse3")]
-pub unsafe fn accum_xor_popcount_ssse3(acc: &mut [i32], src: &[u64], w: u64) {
-    debug_assert_eq!(acc.len(), src.len());
-    let wv = _mm_set1_epi64x(w as i64);
-    let sc = src.chunks_exact(2);
-    let sr = sc.remainder();
-    let mut done = 0;
-    for s in sc {
-        let v = _mm_loadu_si128(s.as_ptr() as *const __m128i);
-        let cnt = popcnt_epi64_ssse3(_mm_xor_si128(v, wv));
-        add_counts2_ssse3(acc.as_mut_ptr().add(done), cnt);
-        done += 2;
-    }
-    for (a, &s) in acc[done..].iter_mut().zip(sr) {
-        *a += (s ^ w).count_ones() as i32;
-    }
-}
-
-/// # Safety
-///
-/// Requires AVX2 (checked by the dispatcher).
-#[target_feature(enable = "avx2")]
-pub unsafe fn accum_xor_popcount_x4_avx2(acc: [&mut [i32]; 4], src: &[u64], ws: [u64; 4]) {
-    let [a0, a1, a2, a3] = acc;
-    debug_assert!(a0.len() == src.len() && a1.len() == src.len());
-    debug_assert!(a2.len() == src.len() && a3.len() == src.len());
-    let wv = [
-        _mm256_set1_epi64x(ws[0] as i64),
-        _mm256_set1_epi64x(ws[1] as i64),
-        _mm256_set1_epi64x(ws[2] as i64),
-        _mm256_set1_epi64x(ws[3] as i64),
-    ];
-    let sc = src.chunks_exact(4);
-    let sr = sc.remainder();
-    let mut done = 0;
-    for s in sc {
-        // One load feeds all four filters.
-        let v = _mm256_loadu_si256(s.as_ptr() as *const __m256i);
-        add_counts4_avx2(
-            a0.as_mut_ptr().add(done),
-            popcnt_epi64_avx2(_mm256_xor_si256(v, wv[0])),
-        );
-        add_counts4_avx2(
-            a1.as_mut_ptr().add(done),
-            popcnt_epi64_avx2(_mm256_xor_si256(v, wv[1])),
-        );
-        add_counts4_avx2(
-            a2.as_mut_ptr().add(done),
-            popcnt_epi64_avx2(_mm256_xor_si256(v, wv[2])),
-        );
-        add_counts4_avx2(
-            a3.as_mut_ptr().add(done),
-            popcnt_epi64_avx2(_mm256_xor_si256(v, wv[3])),
-        );
-        done += 4;
-    }
-    for (i, &s) in sr.iter().enumerate() {
-        a0[done + i] += (s ^ ws[0]).count_ones() as i32;
-        a1[done + i] += (s ^ ws[1]).count_ones() as i32;
-        a2[done + i] += (s ^ ws[2]).count_ones() as i32;
-        a3[done + i] += (s ^ ws[3]).count_ones() as i32;
-    }
 }
 
 /// Register-blocked popcount-GEMM microkernel: for `FB ≤ 4` filters,
@@ -291,7 +148,9 @@ unsafe fn gemm_block_fb_avx2<const FB: usize>(
 ///
 /// # Safety
 ///
-/// Requires AVX2 (checked by the dispatcher).
+/// Requires AVX2 (checked by the dispatcher); slice bounds as in
+/// `PopcountGemm::gemm_block` (asserted in debug builds — the
+/// microkernel reads and writes through unchecked pointers).
 #[target_feature(enable = "avx2")]
 pub unsafe fn gemm_block_avx2(
     acc: &mut [i32],
@@ -301,56 +160,15 @@ pub unsafe fn gemm_block_avx2(
     np: usize,
     kwords: usize,
 ) {
+    debug_assert!((1..=4).contains(&fb), "filter block {fb} outside 1..=4");
+    debug_assert!(acc.len() >= fb * np, "acc shorter than fb·np");
+    debug_assert!(a.len() >= fb * kwords, "a shorter than fb·kwords");
+    debug_assert!(b.len() >= kwords * np, "b shorter than kwords·np");
     match fb {
         4 => gemm_block_fb_avx2::<4>(acc, a, b, np, kwords),
         3 => gemm_block_fb_avx2::<3>(acc, a, b, np, kwords),
         2 => gemm_block_fb_avx2::<2>(acc, a, b, np, kwords),
         _ => gemm_block_fb_avx2::<1>(acc, a, b, np, kwords),
-    }
-}
-
-/// # Safety
-///
-/// Requires SSSE3 (checked by the dispatcher).
-#[target_feature(enable = "ssse3")]
-pub unsafe fn accum_xor_popcount_x4_ssse3(acc: [&mut [i32]; 4], src: &[u64], ws: [u64; 4]) {
-    let [a0, a1, a2, a3] = acc;
-    debug_assert!(a0.len() == src.len() && a1.len() == src.len());
-    debug_assert!(a2.len() == src.len() && a3.len() == src.len());
-    let wv = [
-        _mm_set1_epi64x(ws[0] as i64),
-        _mm_set1_epi64x(ws[1] as i64),
-        _mm_set1_epi64x(ws[2] as i64),
-        _mm_set1_epi64x(ws[3] as i64),
-    ];
-    let sc = src.chunks_exact(2);
-    let sr = sc.remainder();
-    let mut done = 0;
-    for s in sc {
-        let v = _mm_loadu_si128(s.as_ptr() as *const __m128i);
-        add_counts2_ssse3(
-            a0.as_mut_ptr().add(done),
-            popcnt_epi64_ssse3(_mm_xor_si128(v, wv[0])),
-        );
-        add_counts2_ssse3(
-            a1.as_mut_ptr().add(done),
-            popcnt_epi64_ssse3(_mm_xor_si128(v, wv[1])),
-        );
-        add_counts2_ssse3(
-            a2.as_mut_ptr().add(done),
-            popcnt_epi64_ssse3(_mm_xor_si128(v, wv[2])),
-        );
-        add_counts2_ssse3(
-            a3.as_mut_ptr().add(done),
-            popcnt_epi64_ssse3(_mm_xor_si128(v, wv[3])),
-        );
-        done += 2;
-    }
-    for (i, &s) in sr.iter().enumerate() {
-        a0[done + i] += (s ^ ws[0]).count_ones() as i32;
-        a1[done + i] += (s ^ ws[1]).count_ones() as i32;
-        a2[done + i] += (s ^ ws[2]).count_ones() as i32;
-        a3[done + i] += (s ^ ws[3]).count_ones() as i32;
     }
 }
 

@@ -22,8 +22,8 @@ use hotspot_tensor::{crc32, Tensor, WireWriter};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Integer scratch rows [`xnor_conv2d_into`] needs: one accumulator
-/// plane per filter in a block of four.
+/// Filters per GEMM block: the microkernels hold up to four filters'
+/// accumulators in registers across the whole reduction.
 pub const ACC_PLANES: usize = 4;
 
 /// Binary convolution on bit-packed operands.
@@ -42,7 +42,8 @@ pub fn xnor_conv2d(input: &BitTensor, filter: &BitFilter, stride: usize, pad: us
 
 /// [`xnor_conv2d`] with an explicit kernel backend (all backends are
 /// bit-identical; this entry point exists for equivalence tests and
-/// benchmarks).
+/// benchmarks).  Runs the same GEMM-interior + border engine as every
+/// compiled plan step.
 ///
 /// # Panics
 ///
@@ -59,8 +60,13 @@ pub fn xnor_conv2d_backend(
     assert_eq!(c, fc, "input has {c} channels, filter expects {fc}");
     assert!(stride > 0, "stride must be positive");
     let geom = ConvGeometry::new(c, h, w, kh, kw, stride, pad);
-    let (oh, ow) = (geom.oh, geom.ow);
-    let oplane = oh * ow;
+    let gemm = GemmPrep::new(&geom, [filter]);
+    let levels = [LevelFilters {
+        filter,
+        alpha: None,
+    }];
+    let oplane = geom.oh * geom.ow;
+    let item_words = h * w * geom.wpp;
     let in_words = input.as_words();
 
     let mut out = vec![0.0f32; n * k * oplane];
@@ -70,64 +76,21 @@ pub fn xnor_conv2d_backend(
     out.par_chunks_mut(k * oplane).enumerate().for_each_init(
         || global_pool().checkout_guard(),
         |ws, (ni, chunk)| {
-            let mut acc = ws.take_i32(ACC_PLANES * geom.ow);
-            let levels = [LevelFilters {
-                filter,
-                alpha: None,
-            }];
-            xnor_item_levels(backend, in_words, &geom, &levels, ni, None, &mut acc, chunk);
-            ws.give_i32(acc);
+            let item = &in_words[ni * item_words..(ni + 1) * item_words];
+            xnor_conv_levels(
+                backend,
+                item,
+                1,
+                &geom,
+                gemm.as_ref(),
+                &levels,
+                None,
+                ws,
+                chunk,
+            );
         },
     );
-    Tensor::from_vec(&[n, k, oh, ow], out)
-}
-
-/// Binary convolution on raw [`BitTensor`]-layout words into a
-/// caller-provided `[n, k, oh, ow]` buffer, with caller-provided
-/// integer scratch — the sequential, allocation-free core behind
-/// [`xnor_conv2d`] and the [`crate::plan::ExecPlan`] engine.  The
-/// geometry tables are precomputed by the caller (once per plan step)
-/// instead of being rebuilt per plane.
-///
-/// `acc` must hold [`ACC_PLANES`]` * ow` elements — one output row of
-/// accumulators per filter in a block; rows finalize straight out of
-/// this L1-resident buffer (contents
-/// ignored).  Every element of `out` is overwritten.
-///
-/// # Panics
-///
-/// Panics when the filter disagrees with the geometry or a buffer
-/// length does not match the dimensions.
-pub fn xnor_conv2d_into(
-    in_words: &[u64],
-    n: usize,
-    geom: &ConvGeometry,
-    filter: &BitFilter,
-    acc: &mut [i32],
-    out: &mut [f32],
-) {
-    xnor_conv2d_into_backend(active_backend(), in_words, n, geom, filter, acc, out)
-}
-
-/// [`xnor_conv2d_into`] with an explicit kernel backend.
-///
-/// # Panics
-///
-/// See [`xnor_conv2d_into`].
-pub fn xnor_conv2d_into_backend(
-    backend: KernelBackend,
-    in_words: &[u64],
-    n: usize,
-    geom: &ConvGeometry,
-    filter: &BitFilter,
-    acc: &mut [i32],
-    out: &mut [f32],
-) {
-    let levels = [LevelFilters {
-        filter,
-        alpha: None,
-    }];
-    xnor_conv2d_levels(backend, in_words, n, geom, &levels, None, acc, out);
+    Tensor::from_vec(&[n, k, geom.oh, geom.ow], out)
 }
 
 /// One residual binarization level of a conv: its packed bit plane and
@@ -137,73 +100,6 @@ pub fn xnor_conv2d_into_backend(
 struct LevelFilters<'a> {
     filter: &'a BitFilter,
     alpha: Option<&'a [f32]>,
-}
-
-/// Core multi-level conv loop shared by the scaled and unscaled paths.
-///
-/// All residual levels run **fused**: every kernel tap accumulates
-/// into `levels.len()` stacked accumulator row blocks while the input
-/// words / strided gather scratch are hot, and each output element is
-/// finalized once per level in ascending order (`=` for level 0, `+=`
-/// for the correction planes).  This replaces the old
-/// one-full-pass-per-level structure — which re-walked the whole image
-/// and streamed an `f32` scratch plane per extra level — with
-/// identical bit-level results: the integer mismatch counts are
-/// order-independent, and the per-element float op sequence (assign
-/// `v₀`, then `+= vₗ` ascending) is unchanged.
-///
-/// When `smap` is `Some` — the per-item `[n, oh, ow]` activation scale
-/// map — each level's finalize multiplies `alpha[f] * smap[pixel]`,
-/// exactly like the historical scaled path.
-///
-/// `acc` must hold `levels.len() * ACC_PLANES * ow` elements.
-#[allow(clippy::too_many_arguments)]
-fn xnor_conv2d_levels(
-    backend: KernelBackend,
-    in_words: &[u64],
-    n: usize,
-    geom: &ConvGeometry,
-    levels: &[LevelFilters],
-    smap: Option<&[f32]>,
-    acc: &mut [i32],
-    out: &mut [f32],
-) {
-    let (k, fc, kh, kw) = levels[0].filter.dims();
-    assert_eq!(
-        (fc, kh, kw),
-        (geom.c, geom.kh, geom.kw),
-        "filter shape disagrees with geometry"
-    );
-    for lv in levels {
-        assert_eq!(
-            lv.filter.dims(),
-            (k, fc, kh, kw),
-            "level filter shape mismatch"
-        );
-        if let Some(a) = lv.alpha {
-            assert_eq!(a.len(), k, "one weight scale per filter");
-        }
-    }
-    let oplane = geom.oh * geom.ow;
-    assert_eq!(
-        in_words.len(),
-        n * geom.h * geom.w * geom.wpp,
-        "packed input length mismatch"
-    );
-    assert_eq!(
-        acc.len(),
-        levels.len() * ACC_PLANES * geom.ow,
-        "acc scratch length mismatch"
-    );
-    assert_eq!(out.len(), n * k * oplane, "output length mismatch");
-    if let Some(smap) = smap {
-        assert_eq!(smap.len(), n * oplane, "scale map length mismatch");
-    }
-    for ni in 0..n {
-        let item = &mut out[ni * k * oplane..(ni + 1) * k * oplane];
-        let smap_item = smap.map(|s| &s[ni * oplane..(ni + 1) * oplane]);
-        xnor_item_levels(backend, in_words, geom, levels, ni, smap_item, acc, item);
-    }
 }
 
 /// Visits every output pixel outside the interior rectangle.
@@ -326,223 +222,42 @@ fn finalize_one(
     }
 }
 
-/// The four tap words of a filter block (single-word channels only).
-#[inline]
-fn tap_words4(
-    filter: &BitFilter,
-    ki: usize,
-    fb: usize,
-    ky: usize,
-    kx: usize,
-    kh: usize,
-    kw: usize,
-) -> [u64; ACC_PLANES] {
-    let f_words = filter.as_words();
-    let mut ws4 = [0u64; ACC_PLANES];
-    for (f, slot) in ws4.iter_mut().enumerate().take(fb) {
-        *slot = f_words[((ki + f) * kh + ky) * kw + kx];
-    }
-    ws4
-}
-
-/// Accumulates one kernel tap into one level's `ACC_PLANES × run` row
-/// block over the chunk `done..done + src.len()`.
-fn accum_level_chunk(
-    backend: KernelBackend,
-    lacc: &mut [i32],
-    run: usize,
-    done: usize,
-    src: &[u64],
-    ws4: [u64; ACC_PLANES],
-    fb: usize,
-) {
-    let m = src.len();
-    let (a0, rest) = lacc.split_at_mut(run);
-    let (a1, rest) = rest.split_at_mut(run);
-    let (a2, a3) = rest.split_at_mut(run);
-    if fb == ACC_PLANES {
-        kernels::accum_xor_popcount_x4(
-            backend,
-            [
-                &mut a0[done..done + m],
-                &mut a1[done..done + m],
-                &mut a2[done..done + m],
-                &mut a3[done..done + m],
-            ],
-            src,
-            ws4,
-        );
-    } else {
-        let rows = [a0, a1, a2, a3];
-        for (row, &wword) in rows.into_iter().zip(&ws4).take(fb) {
-            kernels::accum_xor_popcount(backend, &mut row[done..done + m], src, wword);
-        }
-    }
-}
-
-/// One batch item (`k` output planes) of a multi-level binary
-/// convolution.
+/// The one binary-conv engine behind every plan step and
+/// [`xnor_conv2d`]: the bit-sliced GEMM interior over all `n` items
+/// (when the layer has an interior rectangle) plus the bounds-checked
+/// border of every item.  Every residual level accumulates into the
+/// same output, level 0 assigning and correction levels adding.
 ///
-/// Filters are processed in blocks of up to four so every input word
-/// loaded in the interior loop is reused across the block, and all
-/// residual levels accumulate inside the same tap walk so the strided
-/// gather scratch (and the L1-hot input row) is shared across levels —
-/// an extra level costs one more XNOR sweep over data that is already
-/// resident, not a second full pass with its own scratch plane.  The
-/// output plane splits into the precomputed interior rectangle — all
-/// taps in bounds, handled by the branch-free dispatched kernels — and
-/// a thin border handled by the general bounds-checked path.
-///
-/// Interior loops are *row-outer*: each output row accumulates its
-/// `kh·kw` taps into `levels.len()` stacked `ACC_PLANES × run` row
-/// buffers that stay L1-resident and finalize straight into `out`
-/// (level 0 assigns, correction levels add) before moving to the next
-/// row.  Border pixels accumulate their few taps in fixed per-level
-/// register arrays and finalize immediately, so no full-plane scratch
-/// of any kind exists anywhere.
+/// `smap`, when present, is the `[n, oh, ow]` activation scale map
+/// each level's finalize multiplies in; `out` is `[n, k, oh, ow]`.
 #[allow(clippy::too_many_arguments)]
-fn xnor_item_levels(
+fn xnor_conv_levels(
     backend: KernelBackend,
     in_words: &[u64],
+    n: usize,
     geom: &ConvGeometry,
+    gemm: Option<&GemmPrep>,
     levels: &[LevelFilters],
-    ni: usize,
-    smap_item: Option<&[f32]>,
-    acc: &mut [i32],
+    smap: Option<&[f32]>,
+    ws: &mut Workspace,
     out: &mut [f32],
 ) {
-    let (k, _, kh, kw) = levels[0].filter.dims();
-    let nl = levels.len();
-    let (c, h, w) = (geom.c, geom.h, geom.w);
-    let (stride, pad) = (geom.stride, geom.pad);
-    let (oh, ow, wpp) = (geom.oh, geom.ow, geom.wpp);
-    let oplane = oh * ow;
-    debug_assert_eq!(wpp, levels[0].filter.words_per_tap());
-    debug_assert_eq!(acc.len(), nl * ACC_PLANES * ow);
-    debug_assert_eq!(out.len(), k * oplane);
-    let full_hit = (kh * kw) as i32;
-
-    let mut ki = 0;
-    while ki < k {
-        let fb = (k - ki).min(ACC_PLANES);
-
-        if let Some(int) = geom.interior() {
-            let run = int.ox1 - int.ox0;
-            if wpp == 1 {
-                for oy in int.oy0..int.oy1 {
-                    let acc_rows = &mut acc[..nl * ACC_PLANES * run];
-                    acc_rows.fill(0);
-                    for ky in 0..kh {
-                        let iy = oy * stride + ky - pad;
-                        for kx in 0..kw {
-                            let ix0 = int.ox0 * stride + kx - pad;
-                            if stride == 1 {
-                                let src = &in_words[(ni * h + iy) * w + ix0..][..run];
-                                for (l, lv) in levels.iter().enumerate() {
-                                    accum_level_chunk(
-                                        backend,
-                                        &mut acc_rows[l * ACC_PLANES * run..][..ACC_PLANES * run],
-                                        run,
-                                        0,
-                                        src,
-                                        tap_words4(lv.filter, ki, fb, ky, kx, kh, kw),
-                                        fb,
-                                    );
-                                }
-                            } else {
-                                // Strided rows: gather each chunk into a
-                                // stack scratch once, then reuse the
-                                // contiguous dispatched kernels — the
-                                // gather cost is paid once per chunk and
-                                // shared across filters *and* levels.
-                                const GATHER: usize = 128;
-                                let row = &in_words[(ni * h + iy) * w..];
-                                let mut gat = [0u64; GATHER];
-                                let mut done = 0;
-                                while done < run {
-                                    let m = (run - done).min(GATHER);
-                                    for (i, slot) in gat.iter_mut().enumerate().take(m) {
-                                        *slot = row[ix0 + (done + i) * stride];
-                                    }
-                                    for (l, lv) in levels.iter().enumerate() {
-                                        accum_level_chunk(
-                                            backend,
-                                            &mut acc_rows[l * ACC_PLANES * run..]
-                                                [..ACC_PLANES * run],
-                                            run,
-                                            done,
-                                            &gat[..m],
-                                            tap_words4(lv.filter, ki, fb, ky, kx, kh, kw),
-                                            fb,
-                                        );
-                                    }
-                                    done += m;
-                                }
-                            }
-                        }
-                    }
-                    // Finalize this row straight from the hot buffers,
-                    // levels ascending.
-                    let row_off = oy * ow + int.ox0;
-                    let srow = smap_item.map(|s| &s[row_off..row_off + run]);
-                    for (l, lv) in levels.iter().enumerate() {
-                        for f in 0..fb {
-                            let mism = &acc_rows[(l * ACC_PLANES + f) * run..][..run];
-                            let dst = &mut out[(ki + f) * oplane + row_off..][..run];
-                            finalize_row(
-                                dst,
-                                mism,
-                                full_hit,
-                                c,
-                                l == 0,
-                                lv.alpha.map(|a| a[ki + f]),
-                                srow,
-                            );
-                        }
-                    }
-                }
-            } else {
-                // Multi-word channels: per pixel, each kernel row is a
-                // contiguous kw*wpp span for the dispatched popcount;
-                // finalize immediately, levels ascending.
-                for oy in int.oy0..int.oy1 {
-                    let iy0 = oy * stride - pad;
-                    for ox in int.ox0..int.ox1 {
-                        let ix0 = ox * stride - pad;
-                        let p = oy * ow + ox;
-                        let s = smap_item.map(|sm| sm[p]);
-                        for f in 0..fb {
-                            for (l, lv) in levels.iter().enumerate() {
-                                let f_words = lv.filter.as_words();
-                                let mut mism = 0u32;
-                                for ky in 0..kh {
-                                    let ibase = ((ni * h + iy0 + ky) * w + ix0) * wpp;
-                                    let fbase = ((ki + f) * kh + ky) * kw * wpp;
-                                    mism += kernels::xor_popcount(
-                                        backend,
-                                        &in_words[ibase..ibase + kw * wpp],
-                                        &f_words[fbase..fbase + kw * wpp],
-                                    );
-                                }
-                                finalize_one(
-                                    &mut out[(ki + f) * oplane + p],
-                                    full_hit,
-                                    c,
-                                    mism as i32,
-                                    l == 0,
-                                    lv.alpha.map(|a| a[ki + f]),
-                                    s,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
+    let k = levels[0].filter.dims().0;
+    let oplane = geom.oh * geom.ow;
+    debug_assert_eq!(in_words.len(), n * geom.h * geom.w * geom.wpp);
+    debug_assert_eq!(out.len(), n * k * oplane);
+    if let Some(gp) = gemm {
+        xnor_conv_gemm_levels(backend, in_words, n, geom, gp, levels, smap, ws, out);
+    }
+    for ni in 0..n {
+        let item = &mut out[ni * k * oplane..(ni + 1) * k * oplane];
+        let smap_item = smap.map(|s| &s[ni * oplane..(ni + 1) * oplane]);
+        let mut ki = 0;
+        while ki < k {
+            let fb = (k - ki).min(ACC_PLANES);
+            border_levels_block(in_words, geom, levels, ni, ki, fb, smap_item, item);
+            ki += fb;
         }
-
-        border_levels_block(in_words, geom, levels, ni, ki, fb, smap_item, out);
-
-        ki += fb;
     }
 }
 
@@ -648,7 +363,7 @@ fn for_each_subrun(
 /// well under the sparse `kh·kw·wpp` tap-word walk (c=8, 3×3: 2 dense
 /// words vs 9 sparse), because the sparse layout pads every tap word's
 /// high bits with zeros.
-fn dense_filter_words(filter: &BitFilter) -> (usize, Vec<u64>) {
+fn dense_filter_words(filter: &BitFilter) -> Vec<u64> {
     let (k, c, kh, kw) = filter.dims();
     let wpt = filter.words_per_tap();
     let kdense = (c * kh * kw).div_ceil(64);
@@ -682,19 +397,35 @@ fn dense_filter_words(filter: &BitFilter) -> (usize, Vec<u64>) {
         }
         debug_assert_eq!(j * 64 + off, c * kh * kw);
     }
-    (kdense, out)
+    out
 }
 
-/// Precomputed A-matrix state for the batched GEMM tier: every
-/// residual level's filters with their receptive-field bits densely
-/// repacked by [`dense_filter_words`].  Built once at prep time and
-/// shared by all forward calls.
+/// Precomputed A-matrix state for the GEMM interior: every residual
+/// level's filters with their receptive-field bits densely repacked by
+/// [`dense_filter_words`].  Built once at prep time and shared by all
+/// forward calls.
 #[derive(Debug, Clone)]
 struct GemmPrep {
     /// Dense reduction words per filter (`⌈c·kh·kw/64⌉`).
     kdense: usize,
     /// Per level: `k * kdense` dense filter words.
     a: Vec<Vec<u64>>,
+}
+
+impl GemmPrep {
+    /// The A matrices for `filters` (one per executed level), or `None`
+    /// when the layer's output is all border and there is nothing to
+    /// tile.
+    fn new<'f>(
+        geom: &ConvGeometry,
+        filters: impl IntoIterator<Item = &'f BitFilter>,
+    ) -> Option<GemmPrep> {
+        geom.interior()?;
+        Some(GemmPrep {
+            kdense: (geom.c * geom.kh * geom.kw).div_ceil(64),
+            a: filters.into_iter().map(dense_filter_words).collect(),
+        })
+    }
 }
 
 /// Packs `np` interior output pixels (linear tile indices
@@ -788,18 +519,17 @@ fn pack_b_tile(
 /// amortizing the pack cost over every filter block × residual level.
 const GEMM_TILE: usize = 1024;
 
-/// The batched bit-sliced XNOR-GEMM interior: packs tiles of interior
-/// output pixels (spanning rows *and* batch items) as dense B columns
-/// once, then streams every filter block × residual level over the
-/// same tile through the backend's [`kernels::PopcountGemm`]
-/// microkernel, fusing the per-channel affine/sign finalize into the
-/// epilogue.  Border pixels are handled separately by
-/// [`border_levels_block`].
+/// The bit-sliced XNOR-GEMM interior: packs tiles of interior output
+/// pixels (spanning rows *and* batch items) as dense B columns once,
+/// then streams every filter block × residual level over the same tile
+/// through the backend's [`kernels::PopcountGemm`] microkernel, fusing
+/// the per-channel affine/sign finalize into the epilogue.  Border
+/// pixels are handled separately by [`border_levels_block`].
 ///
-/// Bit-identical to the per-clip path: dense repacking preserves the
-/// integer mismatch counts (see [`pack_b_tile`]) and the epilogue
-/// replays the exact per-element float op sequence of
-/// [`finalize_row`].
+/// Exact: dense repacking preserves the integer mismatch counts (see
+/// [`pack_b_tile`]), and every output element sees the same float op
+/// sequence ([`finalize_row`]) whichever tile — and so whichever batch
+/// size — it lands in.
 #[allow(clippy::too_many_arguments)]
 fn xnor_conv_gemm_levels(
     backend: KernelBackend,
@@ -885,7 +615,7 @@ pub struct ConvPrep {
     /// level count, possibly capped lower (cascade triage runs an
     /// M-level model at M = 1).
     levels: usize,
-    /// Dense A-matrix words for the batched GEMM tier (`None` when the
+    /// Dense A-matrix words for the GEMM interior (`None` when the
     /// layer has no interior rectangle to tile).
     gemm: Option<GemmPrep>,
 }
@@ -906,9 +636,9 @@ impl ConvPrep {
         self.levels
     }
 
-    /// Whether the batched bit-sliced GEMM tier is available for this
-    /// prep (the layer has an interior rectangle to tile; batched
-    /// forwards with `n ≥ 2` will route through it).
+    /// Whether this prep runs a GEMM interior: true when the layer has
+    /// an interior rectangle to tile, at every batch size including 1.
+    /// Without one, the whole output is border pixels.
     pub fn gemm_tier(&self) -> bool {
         self.gemm.is_some()
     }
@@ -1128,17 +858,13 @@ impl PackedConv {
         };
         let levels = max_levels.clamp(1, self.levels());
         // Dense GEMM A-matrix per executed level: built eagerly (the
-        // prep is compiled once per plan step) so batched forwards
-        // only pack the activation side.
-        let gemm = geom.interior().map(|_| {
-            let (kdense, a0) = dense_filter_words(&self.filter);
-            let mut a = Vec::with_capacity(levels);
-            a.push(a0);
-            for (filter_l, _) in &self.extra_levels[..levels - 1] {
-                a.push(dense_filter_words(filter_l).1);
-            }
-            GemmPrep { kdense, a }
-        });
+        // prep is compiled once per plan step) so forwards only pack
+        // the activation side.
+        let gemm = GemmPrep::new(
+            &geom,
+            std::iter::once(&self.filter)
+                .chain(self.extra_levels[..levels - 1].iter().map(|(f, _)| f)),
+        );
         ConvPrep {
             geom,
             rules,
@@ -1184,6 +910,13 @@ impl PackedConv {
     /// The result is bit-for-bit identical to the old materializing
     /// path.
     ///
+    /// The conv itself runs the one engine at every `n`: interior
+    /// pixels of all `n` items are tiled together as dense B columns
+    /// and streamed through the backend's [`kernels::PopcountGemm`]
+    /// microkernel, and border pixels take the bounds-checked path.
+    /// Items are independent, so a batch of `n` is bit-identical to
+    /// `n` single-item calls.
+    ///
     /// # Panics
     ///
     /// Panics when a slice length disagrees with the dimensions or
@@ -1195,35 +928,6 @@ impl PackedConv {
         n: usize,
         ws: &mut Workspace,
         out: &mut [f32],
-    ) {
-        self.forward_impl(prep, x, n, ws, out, false)
-    }
-
-    /// [`PackedConv::forward_prepped`] routed through the batched
-    /// bit-sliced XNOR-GEMM tier: interior pixels of all `n` items are
-    /// tiled together as dense B columns and streamed through the
-    /// backend's [`kernels::PopcountGemm`] microkernel (bit-identical
-    /// to the per-clip path; see [`ConvPrep::gemm_tier`]).  With
-    /// `n < 2` or no interior it falls back to the per-clip engine.
-    pub fn forward_prepped_batch(
-        &self,
-        prep: &ConvPrep,
-        x: &[f32],
-        n: usize,
-        ws: &mut Workspace,
-        out: &mut [f32],
-    ) {
-        self.forward_impl(prep, x, n, ws, out, true)
-    }
-
-    fn forward_impl(
-        &self,
-        prep: &ConvPrep,
-        x: &[f32],
-        n: usize,
-        ws: &mut Workspace,
-        out: &mut [f32],
-        batched: bool,
     ) {
         let c = self.bn_scale.len();
         let geom = &prep.geom;
@@ -1308,47 +1012,17 @@ impl PackedConv {
             smap = Some(sm);
         }
 
-        match (batched && n >= 2, prep.gemm.as_ref()) {
-            (true, Some(gp)) => {
-                xnor_conv_gemm_levels(
-                    prep.backend,
-                    &words,
-                    n,
-                    geom,
-                    gp,
-                    &lv[..nl],
-                    smap.as_deref(),
-                    ws,
-                    out,
-                );
-                // Border pixels per item: the same bounds-checked path
-                // as the per-clip engine.
-                for ni in 0..n {
-                    let item = &mut out[ni * ko * oplane..(ni + 1) * ko * oplane];
-                    let smap_item = smap.as_deref().map(|s| &s[ni * oplane..(ni + 1) * oplane]);
-                    let mut ki = 0;
-                    while ki < ko {
-                        let fb = (ko - ki).min(ACC_PLANES);
-                        border_levels_block(&words, geom, &lv[..nl], ni, ki, fb, smap_item, item);
-                        ki += fb;
-                    }
-                }
-            }
-            _ => {
-                let mut acc = ws.take_i32(nl * ACC_PLANES * ow);
-                xnor_conv2d_levels(
-                    prep.backend,
-                    &words,
-                    n,
-                    geom,
-                    &lv[..nl],
-                    smap.as_deref(),
-                    &mut acc,
-                    out,
-                );
-                ws.give_i32(acc);
-            }
-        }
+        xnor_conv_levels(
+            prep.backend,
+            &words,
+            n,
+            geom,
+            prep.gemm.as_ref(),
+            &lv[..nl],
+            smap.as_deref(),
+            ws,
+            out,
+        );
         if let Some(sm) = smap {
             ws.give_f32(sm);
         }
@@ -1594,7 +1268,8 @@ impl PackedBnn {
     /// Compiles a one-shot [`ExecPlan`](crate::plan::ExecPlan) for the
     /// clip resolution and runs it with a pooled workspace.  Callers on
     /// a hot path should compile the plan once and call
-    /// [`ExecPlan::run_into`](crate::plan::ExecPlan::run_into) instead.
+    /// [`ExecPlan::run_batch_into`](crate::plan::ExecPlan::run_batch_into)
+    /// instead.
     pub fn forward(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.ndim(), 4, "packed forward expects NCHW input");
         let plan = self.plan((x.shape()[2], x.shape()[3]));

@@ -7,7 +7,7 @@
 //! output shape precomputed and activations assigned to three
 //! ping-pong buffers (a residual block needs at most three live
 //! activations: block input, main path, and the accumulating output).
-//! [`ExecPlan::run_into`] then executes the steps with every buffer —
+//! [`ExecPlan::run_batch_into`] then executes the steps with every buffer —
 //! activations, packed sign words, popcount scratch, scale maps, the
 //! pooled features — drawn from a [`Workspace`], so a warm plan
 //! performs **zero heap allocations per forward** (enforced by the
@@ -32,8 +32,8 @@
 //! let mut ws = Workspace::new();
 //! let input = vec![1.0f32; 2 * 16 * 16]; // two ±1 clips
 //! let mut logits = vec![0.0f32; 2 * 2];
-//! plan.run_into(&input, 2, &mut ws, &mut logits); // warm-up: allocates
-//! plan.run_into(&input, 2, &mut ws, &mut logits); // steady state: no allocs
+//! plan.run_batch_into(&input, 2, &mut ws, &mut logits); // warm-up: allocates
+//! plan.run_batch_into(&input, 2, &mut ws, &mut logits); // steady state: no allocs
 //! ```
 
 use crate::kernels::{active_backend, KernelBackend};
@@ -334,7 +334,7 @@ impl<'m> ExecPlan<'m> {
     }
 
     /// A [`SlotProfiler`] sized and named for this plan, for use with
-    /// [`run_into_profiled`](ExecPlan::run_into_profiled).  Parallel
+    /// [`run_batch_into_profiled`](ExecPlan::run_batch_into_profiled).  Parallel
     /// workers build one each and [`SlotProfiler::merge`] afterwards.
     pub fn profiler(&self) -> SlotProfiler {
         SlotProfiler::new(self.slot_names())
@@ -351,45 +351,25 @@ impl<'m> ExecPlan<'m> {
     /// `logits`.  All intermediates come from `ws`; after one warm-up
     /// call with the same `n`, subsequent calls allocate nothing.
     ///
-    /// # Panics
-    ///
-    /// Panics when a slice length disagrees with the compiled shapes.
-    pub fn run_into(&self, input: &[f32], n: usize, ws: &mut Workspace, logits: &mut [f32]) {
-        self.run_impl(input, n, ws, logits, None, false);
-    }
-
-    /// [`run_into`](ExecPlan::run_into) routed through the batched
-    /// bit-sliced XNOR-GEMM tier: conv steps call
-    /// [`PackedConv::forward_prepped_batch`]
-    /// (crate::packed::PackedConv::forward_prepped_batch), which tiles
-    /// interior pixels of all `n` clips as dense B columns of a
-    /// `popcount(A ^ B)` GEMM when `n >= 2` and the layer has a GEMM
-    /// prep.  Bit-identical to `n` separate [`run_into`]
-    /// (ExecPlan::run_into) calls (property-tested per backend); same
-    /// zero-allocation-once-warm workspace discipline.
+    /// Every conv step runs the one XNOR-GEMM engine
+    /// ([`PackedConv::forward_prepped`]) at every batch size, batch 1
+    /// included.  Batches larger than a fixed working-set budget run
+    /// as consecutive cache-sized sub-batches.  Items are independent,
+    /// so a batch of `n` is bit-identical to `n` single-clip calls
+    /// (property-tested per backend).
     ///
     /// # Panics
     ///
     /// Panics when a slice length disagrees with the compiled shapes.
     pub fn run_batch_into(&self, input: &[f32], n: usize, ws: &mut Workspace, logits: &mut [f32]) {
-        let classes = self.model.fc_weight().shape()[0];
-        let item = self.input_c * self.input_hw.0 * self.input_hw.1;
-        assert_eq!(input.len(), n * item, "input length mismatch");
-        assert_eq!(logits.len(), n * classes, "logits length mismatch");
-        let chunk = self.batch_chunk();
-        for (inp, lg) in input
-            .chunks(chunk * item)
-            .zip(logits.chunks_mut(chunk * classes))
-        {
-            self.run_impl(inp, inp.len() / item, ws, lg, None, true);
-        }
+        self.run_chunked(input, n, ws, logits, None);
     }
 
-    /// Items per internal sub-batch of the batched tier.  Running the
-    /// whole batch layer-by-layer scales the three ping-pong f32
-    /// buffers with `n`, and past the last-level cache that costs more
+    /// Items per internal sub-batch.  Running the whole batch
+    /// layer-by-layer scales the three ping-pong f32 buffers with
+    /// `n`, and past the last-level cache that costs more
     /// than GEMM tiling wins — batch 16 of the paper's 128×128 net is
-    /// a ~24 MB working set.  So batched entry points split the batch
+    /// a ~24 MB working set.  So the entry points split the batch
     /// into chunks sized to a fixed working-set budget; a chunk of
     /// even 3–4 items already fills the GEMM tiles of the smallest
     /// late-layer feature maps.  Item order (and therefore every
@@ -411,37 +391,13 @@ impl<'m> ExecPlan<'m> {
         (WORKING_SET_BUDGET / per_item.max(1)).clamp(2, 64)
     }
 
-    /// [`run_into`](ExecPlan::run_into) with per-layer timing: each
-    /// step's wall-clock nanoseconds accumulate into the matching slot
-    /// of `prof` (built by [`profiler`](ExecPlan::profiler)).  The
-    /// profiled path performs the same zero heap allocations as the
-    /// unprofiled one once warm — profiling only adds clock reads and
-    /// `u64` arithmetic.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches (as [`run_into`](ExecPlan::run_into))
-    /// or when `prof` was built for a different plan shape.
-    pub fn run_into_profiled(
-        &self,
-        input: &[f32],
-        n: usize,
-        ws: &mut Workspace,
-        logits: &mut [f32],
-        prof: &mut SlotProfiler,
-    ) {
-        assert_eq!(
-            prof.slot_count(),
-            self.steps.len() + 2,
-            "profiler was built for a different plan"
-        );
-        self.run_impl(input, n, ws, logits, Some(prof), false);
-    }
-
     /// [`run_batch_into`](ExecPlan::run_batch_into) with per-layer
-    /// timing, as [`run_into_profiled`](ExecPlan::run_into_profiled).
-    /// Chunked sub-batches accumulate into the same slots (one
-    /// `record_since` per chunk per step).
+    /// timing: each step's wall-clock nanoseconds accumulate into the
+    /// matching slot of `prof` (built by [`profiler`](ExecPlan::profiler)).
+    /// It runs the same code as the unprofiled call, and performs the
+    /// same zero heap allocations once warm — profiling only adds clock
+    /// reads and `u64` arithmetic.  Chunked sub-batches accumulate into
+    /// the same slots (one `record_since` per chunk per step).
     ///
     /// # Panics
     ///
@@ -459,6 +415,17 @@ impl<'m> ExecPlan<'m> {
             self.steps.len() + 2,
             "profiler was built for a different plan"
         );
+        self.run_chunked(input, n, ws, logits, Some(prof));
+    }
+
+    fn run_chunked(
+        &self,
+        input: &[f32],
+        n: usize,
+        ws: &mut Workspace,
+        logits: &mut [f32],
+        mut prof: Option<&mut SlotProfiler>,
+    ) {
         let classes = self.model.fc_weight().shape()[0];
         let item = self.input_c * self.input_hw.0 * self.input_hw.1;
         assert_eq!(input.len(), n * item, "input length mismatch");
@@ -468,7 +435,7 @@ impl<'m> ExecPlan<'m> {
             .chunks(chunk * item)
             .zip(logits.chunks_mut(chunk * classes))
         {
-            self.run_impl(inp, inp.len() / item, ws, lg, Some(prof), true);
+            self.run_impl(inp, inp.len() / item, ws, lg, prof.as_deref_mut());
         }
     }
 
@@ -479,7 +446,6 @@ impl<'m> ExecPlan<'m> {
         ws: &mut Workspace,
         logits: &mut [f32],
         mut prof: Option<&mut SlotProfiler>,
-        batched: bool,
     ) {
         let (h, w) = self.input_hw;
         assert_eq!(
@@ -495,7 +461,7 @@ impl<'m> ExecPlan<'m> {
             ws.take_f32(n * self.buf_elems[1]),
             ws.take_f32(n * self.buf_elems[2]),
         ];
-        self.exec_steps(input, n, ws, &mut bufs, &mut prof, batched);
+        self.exec_steps(input, n, ws, &mut bufs, &mut prof);
 
         // Global average pool + full-precision classifier, with the
         // same accumulation order as the structural forward.
@@ -546,7 +512,6 @@ impl<'m> ExecPlan<'m> {
         ws: &mut Workspace,
         bufs: &mut [Vec<f32>; 3],
         prof: &mut Option<&mut SlotProfiler>,
-        batched: bool,
     ) {
         for (si, step) in self.steps.iter().enumerate() {
             let t0 = prof.as_ref().map(|p| p.begin());
@@ -560,18 +525,14 @@ impl<'m> ExecPlan<'m> {
                     out_elems,
                 } => {
                     let out_len = n * out_elems;
-                    let fwd = if batched {
-                        PackedConv::forward_prepped_batch
-                    } else {
-                        PackedConv::forward_prepped
-                    };
                     match src {
-                        Src::Input => fwd(conv, prep, input, n, ws, &mut bufs[*dst][..out_len]),
+                        Src::Input => {
+                            conv.forward_prepped(prep, input, n, ws, &mut bufs[*dst][..out_len])
+                        }
                         Src::Buf(s) => {
                             let in_len = n * conv.in_channels() * in_hw.0 * in_hw.1;
                             let (src_buf, dst_buf) = two_bufs(bufs, *s, *dst);
-                            fwd(
-                                conv,
+                            conv.forward_prepped(
                                 prep,
                                 &src_buf[..in_len],
                                 n,
@@ -600,8 +561,9 @@ impl<'m> ExecPlan<'m> {
     }
 
     /// The shape of the feature map the layer steps produce, as
-    /// `(channels, height, width)` — what [`run_features_into`]
-    /// (ExecPlan::run_features_into) writes per batch item.
+    /// `(channels, height, width)` — what
+    /// [`run_features_into`](ExecPlan::run_features_into) writes per
+    /// batch item.
     pub fn feature_shape(&self) -> (usize, usize, usize) {
         (self.feat_c, self.final_hw.0, self.final_hw.1)
     }
@@ -610,8 +572,9 @@ impl<'m> ExecPlan<'m> {
     /// the raw `[n, c, h, w]` feature map into `features` (shape from
     /// [`feature_shape`](ExecPlan::feature_shape)).  The full-chip
     /// scanner runs a prefix segment this way once per band and feeds
-    /// the features to per-window suffix plans.  Same workspace
-    /// discipline as [`run_into`](ExecPlan::run_into): zero heap
+    /// the features to per-window suffix plans.  Same engine, chunking
+    /// and workspace discipline as
+    /// [`run_batch_into`](ExecPlan::run_batch_into): zero heap
     /// allocations once warm.
     ///
     /// # Panics
@@ -624,80 +587,36 @@ impl<'m> ExecPlan<'m> {
         ws: &mut Workspace,
         features: &mut [f32],
     ) {
-        self.run_features_impl(input, n, ws, features, false);
-    }
-
-    /// [`run_features_into`](ExecPlan::run_features_into) routed
-    /// through the batched XNOR-GEMM tier (see [`run_batch_into`]
-    /// (ExecPlan::run_batch_into)).  Bit-identical to the per-item
-    /// path; the scanner uses this for multi-window suffix batches.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a slice length disagrees with the compiled shapes.
-    pub fn run_features_batch_into(
-        &self,
-        input: &[f32],
-        n: usize,
-        ws: &mut Workspace,
-        features: &mut [f32],
-    ) {
-        self.run_features_impl(input, n, ws, features, true);
-    }
-
-    fn run_features_impl(
-        &self,
-        input: &[f32],
-        n: usize,
-        ws: &mut Workspace,
-        features: &mut [f32],
-        batched: bool,
-    ) {
         let (h, w) = self.input_hw;
-        assert_eq!(
-            input.len(),
-            n * self.input_c * h * w,
-            "input length mismatch"
-        );
+        let item = self.input_c * h * w;
+        assert_eq!(input.len(), n * item, "input length mismatch");
         let (fc, fh, fw) = self.feature_shape();
-        assert_eq!(
-            features.len(),
-            n * fc * fh * fw,
-            "feature buffer length mismatch"
-        );
-        // Same working-set chunking as `run_batch_into`.
-        let chunk = if batched {
-            self.batch_chunk()
-        } else {
-            n.max(1)
-        };
-        if n > chunk {
-            let item = self.input_c * h * w;
-            for (inp, ft) in input
-                .chunks(chunk * item)
-                .zip(features.chunks_mut(chunk * fc * fh * fw))
-            {
-                self.run_features_impl(inp, inp.len() / item, ws, ft, batched);
-            }
-            return;
+        let feat = fc * fh * fw;
+        assert_eq!(features.len(), n * feat, "feature buffer length mismatch");
+        let chunk = self.batch_chunk();
+        for (inp, ft) in input
+            .chunks(chunk * item)
+            .zip(features.chunks_mut(chunk * feat))
+        {
+            let n = inp.len() / item;
+            let mut bufs = [
+                ws.take_f32(n * self.buf_elems[0]),
+                ws.take_f32(n * self.buf_elems[1]),
+                ws.take_f32(n * self.buf_elems[2]),
+            ];
+            self.exec_steps(inp, n, ws, &mut bufs, &mut None);
+            ft.copy_from_slice(&bufs[self.final_buf][..n * feat]);
+            let [b0, b1, b2] = bufs;
+            ws.give_f32(b0);
+            ws.give_f32(b1);
+            ws.give_f32(b2);
         }
-        let mut bufs = [
-            ws.take_f32(n * self.buf_elems[0]),
-            ws.take_f32(n * self.buf_elems[1]),
-            ws.take_f32(n * self.buf_elems[2]),
-        ];
-        self.exec_steps(input, n, ws, &mut bufs, &mut None, batched);
-        features.copy_from_slice(&bufs[self.final_buf][..n * fc * fh * fw]);
-        let [b0, b1, b2] = bufs;
-        ws.give_f32(b0);
-        ws.give_f32(b1);
-        ws.give_f32(b2);
     }
 
     /// Whether any conv step of this plan carries a GEMM prep — i.e.
-    /// whether [`run_batch_into`](ExecPlan::run_batch_into) actually
-    /// engages the bit-sliced XNOR-GEMM tier for batches of 2+ (layers
-    /// whose output is all border pixels compile without one).
+    /// whether [`run_batch_into`](ExecPlan::run_batch_into) engages the
+    /// bit-sliced XNOR-GEMM interior at all (layers whose output is all
+    /// border pixels compile without one).
     /// Benchmarks report this so throughput numbers name the tier that
     /// produced them.
     pub fn gemm_tier(&self) -> bool {
@@ -719,7 +638,7 @@ impl<'m> ExecPlan<'m> {
         );
         let classes = self.model.fc_weight().shape()[0];
         let mut logits = vec![0.0f32; n * classes];
-        self.run_into(x.as_slice(), n, ws, &mut logits);
+        self.run_batch_into(x.as_slice(), n, ws, &mut logits);
         Tensor::from_vec(&[n, classes], logits)
     }
 }
@@ -813,8 +732,53 @@ mod tests {
         let plan = packed.plan((16, 16));
         let mut ws = Workspace::new();
         let mut logits = vec![0.0f32; 3 * 2];
-        plan.run_into(&input, 3, &mut ws, &mut logits);
+        plan.run_batch_into(&input, 3, &mut ws, &mut logits);
         assert_eq!(expect.as_slice(), &logits[..], "plan must be bit-identical");
+    }
+
+    #[test]
+    fn c1_stem_at_batch_one_matches_float_sign_conv() {
+        // The stem reads one channel through a 3×3 kernel: 9 live bits
+        // in a single dense GEMM word (kdense = 1), run through the
+        // GEMM interior at batch 1 like every other batch size.
+        use crate::scaling::ScalingMode;
+        use crate::ste::sign_tensor;
+        use hotspot_nn::Layer;
+        let mut cfg = NetConfig::tiny(16);
+        cfg.scaling = ScalingMode::PlainSign;
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut net = BnnResNet::new(&cfg, &mut rng);
+        // Non-trivial batch-norm running statistics.
+        let warm = Tensor::from_vec(&[2, 1, 16, 16], pm_input(2, 16, 31));
+        let _ = net.forward(&warm, true);
+        let packed = PackedBnn::compile(&net);
+        let stem = packed.stem();
+        assert_eq!((stem.in_channels(), stem.kernel()), (1, 3));
+
+        // Float oracle: the binarized batch-norm affine of the clip,
+        // convolved with the sign of the stem weights.
+        let input = pm_input(1, 16, 37);
+        let (s, b) = (stem.bn_scale()[0], stem.bn_shift()[0]);
+        let signs: Vec<f32> = input
+            .iter()
+            .map(|&v| if s * v + b >= 0.0 { 1.0 } else { -1.0 })
+            .collect();
+        let expect = hotspot_tensor::conv2d(
+            &Tensor::from_vec(&[1, 1, 16, 16], signs),
+            &sign_tensor(&net.stem().conv().weight().value),
+            None,
+            stem.stride(),
+            stem.pad(),
+        );
+        for backend in KernelBackend::available() {
+            let plan = ExecPlan::compile_segment(&packed, (16, 16), backend, usize::MAX, 0..0);
+            assert!(plan.gemm_tier(), "the stem must run a GEMM interior");
+            let (c, h, w) = plan.feature_shape();
+            let mut got = vec![0.0f32; c * h * w];
+            plan.run_features_into(&input, 1, &mut Workspace::new(), &mut got);
+            assert_eq!(expect.shape(), &[1, c, h, w]);
+            assert_eq!(got, expect.as_slice(), "{}", backend.name());
+        }
     }
 
     #[test]
@@ -824,9 +788,9 @@ mod tests {
         let plan = packed.plan((16, 16));
         let mut ws = Workspace::new();
         let mut first = vec![0.0f32; 2 * 2];
-        plan.run_into(&input, 2, &mut ws, &mut first);
+        plan.run_batch_into(&input, 2, &mut ws, &mut first);
         let mut second = vec![0.0f32; 2 * 2];
-        plan.run_into(&input, 2, &mut ws, &mut second);
+        plan.run_batch_into(&input, 2, &mut ws, &mut second);
         assert_eq!(first, second);
     }
 
@@ -838,7 +802,7 @@ mod tests {
         for n in [1usize, 4, 2, 8, 1] {
             let input = pm_input(n, 16, n as u32);
             let mut logits = vec![0.0f32; n * 2];
-            plan.run_into(&input, n, &mut ws, &mut logits);
+            plan.run_batch_into(&input, n, &mut ws, &mut logits);
             let x = Tensor::from_vec(&[n, 1, 16, 16], input);
             assert_eq!(packed.forward(&x).as_slice(), &logits[..], "n={n}");
         }
@@ -850,7 +814,7 @@ mod tests {
         let plan = packed.plan((16, 16));
         let input = pm_input(2, 16, 1);
         let mut expect = vec![0.0f32; 2 * 2];
-        plan.run_into(&input, 2, &mut Workspace::new(), &mut expect);
+        plan.run_batch_into(&input, 2, &mut Workspace::new(), &mut expect);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let plan = &plan;
@@ -859,7 +823,7 @@ mod tests {
                 scope.spawn(move || {
                     let mut ws = Workspace::new();
                     let mut logits = vec![0.0f32; 2 * 2];
-                    plan.run_into(input, 2, &mut ws, &mut logits);
+                    plan.run_batch_into(input, 2, &mut ws, &mut logits);
                     assert_eq!(&logits, expect);
                 });
             }
@@ -878,7 +842,7 @@ mod tests {
         assert_eq!(plan.levels(), 2);
         let mut ws = Workspace::new();
         let mut logits = vec![0.0f32; 3 * 2];
-        plan.run_into(&input, 3, &mut ws, &mut logits);
+        plan.run_batch_into(&input, 3, &mut ws, &mut logits);
         assert_eq!(expect.as_slice(), &logits[..], "plan must be bit-identical");
     }
 
@@ -895,8 +859,8 @@ mod tests {
         let mut ws = Workspace::new();
         let mut lo = vec![0.0f32; 2 * 2];
         let mut hi = vec![0.0f32; 2 * 2];
-        capped.run_into(&input, 2, &mut ws, &mut lo);
-        full.run_into(&input, 2, &mut ws, &mut hi);
+        capped.run_batch_into(&input, 2, &mut ws, &mut lo);
+        full.run_batch_into(&input, 2, &mut ws, &mut hi);
         // Correction planes must actually change the logits; a capped
         // plan that silently ran all levels would make these equal.
         assert_ne!(lo, hi, "residual levels should perturb the logits");
@@ -919,10 +883,10 @@ mod tests {
         let input = pm_input(2, 16, 5);
         let mut ws = Workspace::new();
         let mut plain = vec![0.0f32; 2 * 2];
-        plan.run_into(&input, 2, &mut ws, &mut plain);
+        plan.run_batch_into(&input, 2, &mut ws, &mut plain);
         let mut prof = plan.profiler();
         let mut profiled = vec![0.0f32; 2 * 2];
-        plan.run_into_profiled(&input, 2, &mut ws, &mut profiled, &mut prof);
+        plan.run_batch_into_profiled(&input, 2, &mut ws, &mut profiled, &mut prof);
         assert_eq!(plain, profiled, "profiling must not change the math");
 
         let report = prof.report();
@@ -934,7 +898,7 @@ mod tests {
         assert!(report.iter().any(|s| s.name == "res1.conv1"));
         assert!(report.iter().any(|s| s.name == "res2.shortcut"));
         // A second profiled run doubles every call count.
-        plan.run_into_profiled(&input, 2, &mut ws, &mut profiled, &mut prof);
+        plan.run_batch_into_profiled(&input, 2, &mut ws, &mut profiled, &mut prof);
         assert!(prof.report().iter().all(|s| s.calls == 2));
     }
 
@@ -964,7 +928,7 @@ mod tests {
         let mut prof = hotspot_telemetry::SlotProfiler::new(vec!["only".into()]);
         let input = pm_input(1, 16, 2);
         let mut logits = vec![0.0f32; 2];
-        plan.run_into_profiled(&input, 1, &mut Workspace::new(), &mut logits, &mut prof);
+        plan.run_batch_into_profiled(&input, 1, &mut Workspace::new(), &mut logits, &mut prof);
     }
 
     #[test]
@@ -973,6 +937,6 @@ mod tests {
         let packed = tiny_packed(2);
         let plan = packed.plan((16, 16));
         let mut logits = vec![0.0f32; 2];
-        plan.run_into(&[0.0; 10], 1, &mut Workspace::new(), &mut logits);
+        plan.run_batch_into(&[0.0; 10], 1, &mut Workspace::new(), &mut logits);
     }
 }

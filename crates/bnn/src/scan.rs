@@ -49,7 +49,10 @@
 //!
 //! Windows the reuse path cannot serve (misaligned flush columns,
 //! chips smaller than the window) fall back to the naive per-window
-//! path — same math, same verdicts.
+//! path — same math, same verdicts.  So does every window of a scan
+//! whose stride is at least the window side: without overlap there is
+//! nothing to reuse, and the band slab plus border strips would cost
+//! more than cropping.
 //!
 //! # Region merging
 //!
@@ -166,7 +169,8 @@ pub struct ScanReport {
     /// Windows served through the band-reuse path.
     pub reused: usize,
     /// Windows that ran the naive per-window path (misaligned or
-    /// undersized chips — and every window of the naive modes).
+    /// undersized chips, strides of at least the window side — and
+    /// every window of the naive modes).
     pub fallback: usize,
     /// Windows answered from the content-dedup cache.
     pub dedup_hits: usize,
@@ -323,15 +327,21 @@ impl<'m> Scanner<'m> {
         let (mut reused, mut fallback, mut dedup_hits, mut escalated_n) = (0usize, 0, 0, 0);
 
         // The band prefix plan depends on the chip width; compile it
-        // once per scan when any band can use it.
+        // once per scan when any band can use it.  With `stride >=
+        // side` no two windows overlap, so the slab would compute each
+        // window's prefix exactly once — the same work as cropping —
+        // plus the border strips on top: those scans take the batched
+        // crop path for every window instead.
         let band_plan = match (&self.reuse, &mode) {
-            (Some(_), Mode::Reuse) if cw >= side && chh >= side => Some(ExecPlan::compile_segment(
-                self.model,
-                (side, cw),
-                self.backend,
-                1,
-                0..self.reuse.as_ref().map_or(0, |r| r.info.prefix_blocks),
-            )),
+            (Some(_), Mode::Reuse) if cw >= side && chh >= side && stride < side => {
+                Some(ExecPlan::compile_segment(
+                    self.model,
+                    (side, cw),
+                    self.backend,
+                    1,
+                    0..self.reuse.as_ref().map_or(0, |r| r.info.prefix_blocks),
+                ))
+            }
             _ => None,
         };
 
@@ -498,8 +508,6 @@ impl<'m> Scanner<'m> {
                 image_to_signed_into(crop, &mut input[i * side * side..(i + 1) * side * side]);
             }
             let mut logits = ws.take_f32(n * classes);
-            // Multi-window chunks engage the bit-sliced XNOR-GEMM tier
-            // (bit-identical to per-window execution).
             plan.run_batch_into(&input, n, ws, &mut logits);
             for i in 0..n {
                 out[ci * BATCH + i] = logits[i * classes + 1] - logits[i * classes];
@@ -568,7 +576,7 @@ impl<'m> Scanner<'m> {
                     }
                 }
                 let lo = bi * BATCH * pc * oh * sow_strip;
-                reuse.strip_plan.run_features_batch_into(
+                reuse.strip_plan.run_features_into(
                     &input,
                     n,
                     ws,
@@ -1136,5 +1144,38 @@ mod tests {
         assert_eq!(fast.verdicts, slow.verdicts, "bit-identical verdicts");
         assert_eq!(fast.regions, slow.regions);
         assert!(fast.reused > 0, "reuse path must engage: {fast:?}");
+    }
+
+    #[test]
+    fn non_overlapping_stride_skips_reuse() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let net = BnnResNet::new(&NetConfig::tiny(16), &mut rng);
+        let packed = PackedBnn::compile(&net);
+        let mut img = BitImage::new(70, 40);
+        let mut state = 9u32;
+        for y in 0..40 {
+            for x in 0..70 {
+                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                if state & 0x18000 == 0 {
+                    img.set(x, y, true);
+                }
+            }
+        }
+        let mut ws = Workspace::new();
+        for stride in [16, 24] {
+            let sc = Scanner::new(&packed, 16, ScanConfig::new(stride));
+            assert!(sc.reuse_info().is_some(), "the model supports reuse");
+            let fast = sc.scan(&img, &mut ws);
+            assert_eq!(fast.reused, 0, "stride {stride}: {fast:?}");
+            assert!(fast.fallback > 0, "stride {stride}: {fast:?}");
+            assert_eq!(
+                fast.reused + fast.fallback + fast.dedup_hits,
+                fast.windows,
+                "stride {stride}: every window accounted for"
+            );
+            let slow = sc.scan_naive(&img, &mut ws);
+            assert_eq!(fast.verdicts, slow.verdicts, "stride {stride}");
+            assert_eq!(fast.regions, slow.regions, "stride {stride}");
+        }
     }
 }

@@ -1,12 +1,14 @@
-//! Allocation regression test for the batched XNOR-GEMM tier.
+//! Allocation regression test for multi-clip batches through the
+//! XNOR-GEMM engine.
 //!
-//! Same contract as `alloc_steady_state.rs`, for the batched
-//! entry point: after one warm-up, `ExecPlan::run_batch_into` performs
-//! **zero** heap allocations — the GEMM B tile, the popcount
+//! Same contract as `alloc_steady_state.rs`, for batches whose GEMM
+//! tiles span clips: after one warm-up, `ExecPlan::run_batch_into`
+//! performs **zero** heap allocations — the GEMM B tile, the popcount
 //! accumulator block, and every staging buffer come from the
 //! [`Workspace`] arena.  The dense im2row repack and the per-tile
 //! epilogue are the parts most tempted to allocate (per-tile scratch,
-//! per-level vectors), so this test guards the new tier specifically.
+//! per-level vectors), so this test guards them at an M = 2, batch-8
+//! shape, and across alternating batch sizes on one workspace.
 //!
 //! The file intentionally holds a single `#[test]`: the counter is
 //! process-global, and a sibling test allocating on another thread
@@ -103,19 +105,21 @@ fn warm_batched_forward_performs_zero_heap_allocations() {
     );
     assert_eq!(logits, warm, "the warm run must stay bit-identical");
 
-    // The batched path must also interleave cleanly with the per-item
-    // path on the same workspace without re-growing it.
-    plan.run_into(&input, n, &mut ws, &mut logits);
+    // Full batches must also interleave cleanly with single-clip
+    // forwards on the same workspace without re-growing it.
+    let mut single = vec![0.0f32; 2];
+    plan.run_batch_into(&input[..16 * 16], 1, &mut ws, &mut single);
     ALLOC_CALLS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
     plan.run_batch_into(&input, n, &mut ws, &mut logits);
-    plan.run_into(&input, n, &mut ws, &mut logits);
+    plan.run_batch_into(&input[..16 * 16], 1, &mut ws, &mut single);
     COUNTING.store(false, Ordering::SeqCst);
     let allocs = ALLOC_CALLS.load(Ordering::SeqCst);
     assert_eq!(
         allocs, 0,
-        "alternating batched/per-item forwards allocated {allocs} \
+        "alternating batch-{n}/single-clip forwards allocated {allocs} \
          time(s) on a warm workspace"
     );
     assert_eq!(logits, warm);
+    assert_eq!(single, warm[..2], "the first clip scores alike alone");
 }

@@ -112,12 +112,12 @@ proptest! {
         }).collect();
         let mut ws = Workspace::new();
         let mut first = vec![0.0f32; n * 2];
-        plan.run_into(&input, n, &mut ws, &mut first);
+        plan.run_batch_into(&input, n, &mut ws, &mut first);
         let mut second = vec![0.0f32; n * 2];
-        plan.run_into(&input, n, &mut ws, &mut second);
+        plan.run_batch_into(&input, n, &mut ws, &mut second);
         prop_assert_eq!(&first, &second);
         let mut fresh = vec![0.0f32; n * 2];
-        plan.run_into(&input, n, &mut Workspace::new(), &mut fresh);
+        plan.run_batch_into(&input, n, &mut Workspace::new(), &mut fresh);
         prop_assert_eq!(&first, &fresh);
         let x = Tensor::from_vec(&[n, 1, 16, 16], input);
         prop_assert_eq!(packed.forward(&x).as_slice(), &first[..]);
@@ -196,12 +196,12 @@ proptest! {
         let mut reference = vec![0.0f32; n * 2];
         packed
             .plan_with_backend((16, 16), KernelBackend::Scalar)
-            .run_into(&input, n, &mut Workspace::new(), &mut reference);
+            .run_batch_into(&input, n, &mut Workspace::new(), &mut reference);
         for backend in KernelBackend::available() {
             let plan = packed.plan_with_backend((16, 16), backend);
             prop_assert_eq!(plan.backend(), backend);
             let mut logits = vec![0.0f32; n * 2];
-            plan.run_into(&input, n, &mut Workspace::new(), &mut logits);
+            plan.run_batch_into(&input, n, &mut Workspace::new(), &mut logits);
             prop_assert_eq!(
                 &logits, &reference,
                 "plan backend {} diverged from scalar", backend.name()
@@ -239,11 +239,11 @@ proptest! {
             let mut expect = vec![0.0f32; n * 2];
             single
                 .plan_with_backend((16, 16), backend)
-                .run_into(&input, n, &mut Workspace::new(), &mut expect);
+                .run_batch_into(&input, n, &mut Workspace::new(), &mut expect);
             let mut capped = vec![0.0f32; n * 2];
             multi
                 .plan_capped_with_backend((16, 16), backend, 1)
-                .run_into(&input, n, &mut Workspace::new(), &mut capped);
+                .run_batch_into(&input, n, &mut Workspace::new(), &mut capped);
             prop_assert_eq!(
                 &capped, &expect,
                 "capped M=2 model diverged from M=1 on {} ({:?})", backend.name(), mode
@@ -273,11 +273,11 @@ proptest! {
         let mut reference = vec![0.0f32; n * 2];
         packed
             .plan_with_backend((16, 16), KernelBackend::Scalar)
-            .run_into(&input, n, &mut Workspace::new(), &mut reference);
+            .run_batch_into(&input, n, &mut Workspace::new(), &mut reference);
         for backend in KernelBackend::available() {
             let plan = packed.plan_with_backend((16, 16), backend);
             let mut logits = vec![0.0f32; n * 2];
-            plan.run_into(&input, n, &mut Workspace::new(), &mut logits);
+            plan.run_batch_into(&input, n, &mut Workspace::new(), &mut logits);
             prop_assert_eq!(
                 &logits, &reference,
                 "M={} plan on backend {} diverged from scalar", levels, backend.name()
@@ -285,12 +285,12 @@ proptest! {
         }
     }
 
-    /// The batched XNOR-GEMM tier is **bit-identical** to per-item
-    /// execution: `run_batch_into` over a batch of N clips produces the
-    /// same logits as N separate `run_into` calls, across batch sizes
-    /// that cover the GEMM tile tail cases, M ∈ {1, 2}, and every
-    /// compiled-in kernel backend (forcing a backend forces its GEMM
-    /// counterpart too).
+    /// Batching is **bit-identical** to single-clip execution:
+    /// `run_batch_into` over a batch of N clips — GEMM tiles that span
+    /// items — produces the same logits as N single-clip calls, whose
+    /// tiles never leave one clip, across batch sizes that cover the
+    /// GEMM tile tail cases, M ∈ {1, 2}, and every compiled-in kernel
+    /// backend (forcing a backend forces its GEMM microkernel too).
     #[test]
     fn batched_gemm_tier_matches_per_item(
         seed in 0u64..8,
@@ -308,11 +308,11 @@ proptest! {
         }).collect();
         for backend in KernelBackend::available() {
             let plan = packed.plan_with_backend((16, 16), backend);
-            // Per-item reference: one run_into call per clip.
+            // Per-item reference: one single-clip call per clip.
             let mut expect = vec![0.0f32; n * 2];
             let mut ws = Workspace::new();
             for i in 0..n {
-                plan.run_into(
+                plan.run_batch_into(
                     &input[i * 256..(i + 1) * 256], 1, &mut ws, &mut expect[i * 2..(i + 1) * 2],
                 );
             }
@@ -329,11 +329,12 @@ proptest! {
         }
     }
 
-    /// Conv-level batched/per-item equivalence at channel counts that
+    /// Conv-level batch/single-item equivalence at channel counts that
     /// cross the 64-bit word boundary — the dense B-repack handles
     /// word spills and partial high words, so exercise c just below,
     /// at, and above multiples of 64, with M ∈ {1, 2} and both an
-    /// affine scale map and plain-sign scaling.
+    /// affine scale map and plain-sign scaling.  Every backend must
+    /// also match the scalar reference bit for bit.
     #[test]
     fn batched_conv_word_boundary_channels(
         seed in 0u64..30,
@@ -387,6 +388,14 @@ proptest! {
         let x: Vec<f32> = smallf(st, n * c * h * w);
         let (oh, ow) = conv.output_hw(h, w);
         let out_len = kf * oh * ow;
+        let mut reference = vec![0.0f32; n * out_len];
+        conv.forward_prepped(
+            &conv.prepare_with_backend(h, w, KernelBackend::Scalar),
+            &x,
+            n,
+            &mut Workspace::new(),
+            &mut reference,
+        );
         for backend in KernelBackend::available() {
             let prep = conv.prepare_with_backend(h, w, backend);
             let mut ws = Workspace::new();
@@ -401,10 +410,14 @@ proptest! {
                 );
             }
             let mut batched = vec![0.0f32; n * out_len];
-            conv.forward_prepped_batch(&prep, &x, n, &mut ws, &mut batched);
+            conv.forward_prepped(&prep, &x, n, &mut ws, &mut batched);
             prop_assert_eq!(
                 &batched, &expect,
                 "batched conv c={} M={} {:?} on {} diverged", c, levels, scaling, backend.name()
+            );
+            prop_assert_eq!(
+                &batched, &reference,
+                "conv c={} M={} {:?} on {} diverged from scalar", c, levels, scaling, backend.name()
             );
         }
     }

@@ -1336,11 +1336,9 @@ fn classify_batch(
     let mut logits = ws.take_f32(n * 2);
     if shared.config.profile_layers {
         let mut prof = triage.profiler();
-        triage.run_into_profiled(&input, n, ws, &mut logits, &mut prof);
+        triage.run_batch_into_profiled(&input, n, ws, &mut logits, &mut prof);
         prof.export_to(&shared.registry, "serve_layer_triage", "slot");
     } else {
-        // Batches of 2+ clips engage the bit-sliced XNOR-GEMM tier
-        // (bit-identical to per-clip execution).
         triage.run_batch_into(&input, n, ws, &mut logits);
     }
     let mut results: Vec<ClipResult> = (0..n)
@@ -1373,7 +1371,7 @@ fn classify_batch(
             let mut clogits = ws.take_f32(m * 2);
             if shared.config.profile_layers {
                 let mut prof = confirm.profiler();
-                confirm.run_into_profiled(&cinput, m, ws, &mut clogits, &mut prof);
+                confirm.run_batch_into_profiled(&cinput, m, ws, &mut clogits, &mut prof);
                 prof.export_to(&shared.registry, "serve_layer_confirm", "slot");
             } else {
                 confirm.run_batch_into(&cinput, m, ws, &mut clogits);

@@ -84,7 +84,7 @@ fn run_canary(model: &PackedBnn, side: usize, fault: &FaultPlan) -> Result<(), S
         let mut ws = Workspace::new();
         let input = vec![1.0f32; n * side * side];
         let mut logits = vec![0.0f32; n * 2];
-        plan.run_into(&input, n, &mut ws, &mut logits);
+        plan.run_batch_into(&input, n, &mut ws, &mut logits);
         logits
     }));
     match outcome {
